@@ -203,7 +203,10 @@ let with_consumed_order (a : O.Plan.access_info)
     relaxed configuration (per execution).  [consumed_order] is the output
     order the enclosing plan relies on this access to deliver (empty when
     none): the replacement must provide it too. *)
-let access_bound ?(consumed_order = []) ctx (a : O.Plan.access_info) : float =
+let direct_best_cost env r = (O.Access_path.best env r).O.Plan.cost
+
+let access_bound ?(consumed_order = []) ?(best_cost = direct_best_cost) ctx
+    (a : O.Plan.access_info) : float =
   let a = with_consumed_order a consumed_order in
   match ctx.view_merge with
   | Some (m, v1, v2) when a.rel = View.name v1 || a.rel = View.name v2 -> (
@@ -232,8 +235,7 @@ let access_bound ?(consumed_order = []) ctx (a : O.Plan.access_info) : float =
       (* index transformation: the relation still exists under C'; re-run
          access-path selection there.  The result is a valid plan, hence an
          upper bound. *)
-      let plan = O.Access_path.best ctx.env' a.request in
-      plan.cost
+      best_cost ctx.env' a.request
     end
 
 (** Upper bound on the whole query's cost under the relaxed configuration:
@@ -241,7 +243,7 @@ let access_bound ?(consumed_order = []) ctx (a : O.Plan.access_info) : float =
     [order_by] is the query's required output order — when the plan
     delivers it through an access rather than a Sort operator, patching
     that access must preserve it. *)
-let query_bound ?(order_by = []) ctx (plan : O.Plan.t) : float =
+let query_bound ?(order_by = []) ?best_cost ctx (plan : O.Plan.t) : float =
   List.fold_left
     (fun acc ((a : O.Plan.access_info), consumed) ->
       if affected ctx a then
@@ -253,7 +255,8 @@ let query_bound ?(order_by = []) ctx (plan : O.Plan.t) : float =
         acc
         +. Float.max 0.0
              (a.executions
-             *. (access_bound ~consumed_order:consumed ctx a -. a.access_cost)
+             *. (access_bound ~consumed_order:consumed ?best_cost ctx a
+                -. a.access_cost)
              )
       else acc)
     plan.cost

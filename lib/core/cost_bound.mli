@@ -49,6 +49,7 @@ val plan_affected : context -> O.Plan.t -> bool
 
 val access_bound :
   ?consumed_order:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
+  ?best_cost:(O.Env.t -> O.Request.t -> float) ->
   context ->
   O.Plan.access_info ->
   float
@@ -56,7 +57,11 @@ val access_bound :
     execution.  [consumed_order] is the output order the enclosing plan
     consumes from this access without re-sorting (a merge join's input, a
     streaming aggregate's input, the query's ORDER BY): the replacement is
-    required to deliver it too, or the patched plan would not be valid. *)
+    required to deliver it too, or the patched plan would not be valid.
+    [best_cost env r] prices an index transformation's re-run of
+    access-path selection; it must return exactly
+    [(Access_path.best env r).cost] (the default), and exists so a caller
+    can answer it from a memo ({!Bound_memo}). *)
 
 val removed_view_bound : context -> O.Plan.access_info -> View.t -> float
 (** The CBV bound for an access whose view the relaxation removes: compute
@@ -66,6 +71,7 @@ val removed_view_bound : context -> O.Plan.access_info -> View.t -> float
 
 val query_bound :
   ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
+  ?best_cost:(O.Env.t -> O.Request.t -> float) ->
   context ->
   O.Plan.t ->
   float
@@ -74,7 +80,8 @@ val query_bound :
     zero, so the result is never below [plan.cost] — a cheaper access path
     found under [C'] cannot drag the bound below the cost of a valid plan.
     [order_by] is the query's required output order; when an access (not a
-    Sort operator) delivers it, its replacement must preserve it. *)
+    Sort operator) delivers it, its replacement must preserve it.
+    [best_cost] is passed to every {!access_bound}. *)
 
 val patched_plan :
   ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->

@@ -243,6 +243,7 @@ type state = {
   cbv_cache : (string, float) Hashtbl.t;
   size_lock : Mutex.t;  (** guards [size_cache] *)
   size_cache : (string, float) Hashtbl.t;  (** per-structure size memo *)
+  bound_memo : Bound_memo.t;  (** §3.3.2 access re-costing memo *)
   frugal : Frugal.t option;
       (** the what-if call ledger; [Some] iff [opts.whatif_budget] is *)
   rand : Random.State.t;  (** only consulted by the [Random] selection *)
@@ -810,6 +811,28 @@ let rank_candidates st (n : node) : candidate list =
     sq.order_by
   in
   let frugal_on = st.frugal <> None in
+  let upper ctx slot plan =
+    Cost_bound.query_bound ~order_by:(order_by_of slot)
+      ~best_cost:(Bound_memo.best_cost st.bound_memo) ctx plan
+  in
+  let lower ctx slot plan =
+    Cost_bound.query_lower_bound ~order_by:(order_by_of slot) ctx plan
+  in
+  (* The ΔT fold: add [w * (cost' - cost)] over the affected queries whose
+     plan the relaxation touches, for the ([lo], [hi]) pair of costs under
+     C' that [costs slot plan] gives. *)
+  let delta_fold ctx affected ~init costs =
+    List.fold_left
+      (fun ((lo, hi) as acc) (slot, w) ->
+        let plan = n.plans.(slot) in
+        if Cost_bound.plan_affected ctx plan then begin
+          let lo', hi' = costs slot plan in
+          ( lo +. (w *. (lo' -. plan.O.Plan.cost)),
+            hi +. (w *. (hi' -. plan.O.Plan.cost)) )
+        end
+        else acc)
+      init affected
+  in
   (* Phase 2, parallel: score each applied transformation — incremental
      size (only the structures that changed are re-measured; heaps are
      cheap cached lookups), §3.3.2 cost upper bound (and, in frugal mode,
@@ -829,33 +852,13 @@ let rank_candidates st (n : node) : candidate list =
       +. Index.Set.fold (fun i a -> a +. index_size st config' i) added 0.0
     in
     let delta_space = n.size -. size' in
-    let delta_selects, delta_selects_lo =
+    let delta_selects_lo, delta_selects =
       match ctx with
       | None -> (0.0, 0.0)
       | Some ctx ->
-        List.fold_left
-          (fun ((hi, lo) as acc) (slot, w) ->
-            let plan = n.plans.(slot) in
-            if Cost_bound.plan_affected ctx plan then begin
-              let order_by = order_by_of slot in
-              let hi =
-                hi
-                +. (w
-                   *. (Cost_bound.query_bound ~order_by ctx plan
-                      -. plan.O.Plan.cost))
-              in
-              let lo =
-                if frugal_on then
-                  lo
-                  +. (w
-                     *. (Cost_bound.query_lower_bound ~order_by ctx plan
-                        -. plan.O.Plan.cost))
-                else hi
-              in
-              (hi, lo)
-            end
-            else acc)
-          (0.0, 0.0) affected
+        delta_fold ctx affected ~init:(0.0, 0.0) (fun slot plan ->
+            let hi = upper ctx slot plan in
+            ((if frugal_on then lower ctx slot plan else hi), hi))
     in
     let delta_shell =
       if st.prepared.dmls = [] then 0.0
@@ -947,22 +950,19 @@ let rank_candidates st (n : node) : candidate list =
       match ctx with
       | None -> ()
       | Some ctx ->
-        let lo = ref delta_shell in
-        List.iter
-          (fun (slot, w) ->
-            let plan = n.plans.(slot) in
-            if Cost_bound.plan_affected ctx plan then begin
+        let lo, _ =
+          delta_fold ctx affected ~init:(delta_shell, delta_shell)
+            (fun slot _ ->
               let qid, _, _ = st.prepared.selects_arr.(slot) in
               let alo, _ =
                 O.Whatif.cost_interval st.whatif config' ~qid
                   ~tables:(tables_of slot)
               in
-              lo := !lo +. (w *. (alo -. plan.O.Plan.cost))
-            end)
-          affected;
+              (alo, alo))
+        in
         fc.Frugal.ival <-
           Frugal.tighten_with fc.Frugal.ival
-            ~advisory:{ Frugal.lo = !lo; hi = infinity }
+            ~advisory:{ Frugal.lo; hi = infinity }
     in
     (* refinement: re-optimize the affected queries for real, debiting the
        ledger per optimizer call actually executed (cache hits are free);
@@ -973,40 +973,21 @@ let rank_candidates st (n : node) : candidate list =
       match ctx with
       | None -> ()
       | Some ctx ->
-        let lo = ref delta_shell and hi = ref delta_shell in
-        List.iter
-          (fun (slot, w) ->
-            let plan = n.plans.(slot) in
-            if Cost_bound.plan_affected ctx plan then begin
-              let qid, _, sq = st.prepared.selects_arr.(slot) in
+        let lo, hi =
+          delta_fold ctx affected ~init:(delta_shell, delta_shell)
+            (fun slot plan ->
               if Frugal.rank_remaining ledger > 0 then begin
+                let qid, _, sq = st.prepared.selects_arr.(slot) in
                 let calls_before = fst (O.Whatif.stats st.whatif) in
                 let plan' = O.Whatif.plan_select st.whatif config' ~qid sq in
                 Frugal.debit ledger
                   (fst (O.Whatif.stats st.whatif) - calls_before);
-                let d = w *. (plan'.O.Plan.cost -. plan.O.Plan.cost) in
-                lo := !lo +. d;
-                hi := !hi +. d
+                (plan'.O.Plan.cost, plan'.O.Plan.cost)
               end
-              else begin
-                let order_by = order_by_of slot in
-                lo :=
-                  !lo
-                  +. (w
-                     *. (Cost_bound.query_lower_bound ~order_by ctx plan
-                        -. plan.O.Plan.cost));
-                hi :=
-                  !hi
-                  +. (w
-                     *. (Cost_bound.query_bound ~order_by ctx plan
-                        -. plan.O.Plan.cost))
-              end
-            end)
-          affected;
+              else (lower ctx slot plan, upper ctx slot plan))
+        in
         fc.Frugal.ival <-
-          Frugal.tighten_with
-            { Frugal.lo = !lo; hi = !hi }
-            ~advisory:fc.Frugal.ival
+          Frugal.tighten_with { Frugal.lo; hi } ~advisory:fc.Frugal.ival
     in
     Frugal.sweep ledger ~penalty ~tighten ~refine fcands;
     let updated =
@@ -1255,6 +1236,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       cbv_cache = Hashtbl.create 16;
       size_lock = Mutex.create ();
       size_cache = Hashtbl.create 256;
+      bound_memo = Bound_memo.create ();
       frugal = Option.map (fun budget -> Frugal.create ~budget) opts.whatif_budget;
       rand =
         Random.State.make

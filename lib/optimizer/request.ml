@@ -73,7 +73,42 @@ let pp ppf t =
     Fmt.(list ~sep:comma (fun ppf (c, _) -> Column.pp ppf c))
     t.order pp_column_set (additional_columns t)
 
-(** Stable identity for request de-duplication (Table 1 counts distinct
+(* Exact identity: constants by their bits, order with its direction, so
+   two requests that may cost differently never compare equal. *)
+let bound_identical (a : Predicate.bound) (b : Predicate.bound) =
+  Bool.equal a.inclusive b.inclusive && Value.identical a.value b.value
+
+let range_identical (a : Predicate.range) (b : Predicate.range) =
+  Column.equal a.rcol b.rcol
+  && Option.equal bound_identical a.lo b.lo
+  && Option.equal bound_identical a.hi b.hi
+
+let equal a b =
+  String.equal a.rel b.rel
+  && List.equal range_identical a.ranges b.ranges
+  && List.equal Column.equal a.param_eq b.param_eq
+  && List.equal Expr.identical a.others b.others
+  && List.equal
+       (fun (c1, d1) (c2, d2) -> Column.equal c1 c2 && d1 = d2)
+       a.order b.order
+  && Column_set.equal a.cols b.cols
+
+(* [cols] is a balanced tree whose shape depends on insertion order, so it
+   stays out of the hash; everything hashed is equal under [equal].  The
+   range bounds are mixed in one by one: [Hashtbl.hash] stops after ten
+   meaningful values, which a whole request spends before reaching its
+   constants, and reparameterized requests differ only there. *)
+let hash t =
+  let bound h (b : Predicate.bound option) =
+    (h * 31) + Hashtbl.hash (Option.map (fun (b : Predicate.bound) -> b.value) b)
+  in
+  List.fold_left
+    (fun h (r : Predicate.range) ->
+      bound (bound ((h * 31) + Hashtbl.hash r.rcol) r.lo) r.hi)
+    (Hashtbl.hash (t.rel, t.param_eq, t.order, List.length t.others))
+    t.ranges
+
+(** Lossy identity for request de-duplication (Table 1 counts distinct
     requests). *)
 let fingerprint t =
   Fmt.str "%s|%a|%s|%s|%s|%s" t.rel

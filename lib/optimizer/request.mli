@@ -44,6 +44,16 @@ val additional_columns : t -> Column_set.t
 
 val pp : Format.formatter -> t -> unit
 
+val equal : t -> t -> bool
+(** Exact identity: float constants by their bits, order columns with
+    their direction, [cols] as a set.  Two requests that are not [equal]
+    may be answered by different plans. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal} (for [Hashtbl.Make]). *)
+
 val fingerprint : t -> string
-(** Stable identity for request de-duplication (Table 1 counts distinct
-    requests). *)
+(** Lossy identity, used only to count distinct requests (Table 1).  It
+    prints constants with [%g] (6 significant digits) and drops the order
+    direction, so requests that cost differently can share a fingerprint:
+    never use it as a costing key — {!equal} is the exact identity. *)

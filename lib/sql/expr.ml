@@ -45,28 +45,30 @@ let tables e =
 (** Structural equality modulo a column equivalence relation.  The paper's
     view-matching procedure tests conjunct equality "structurally, modulo
     column equivalence" -- the equivalence classes being the ones induced by
-    the query's equi-join predicates. *)
-let rec equal_modulo equiv a b =
+    the query's equi-join predicates.  Constants compare by [value]. *)
+let rec equal_by ~value equiv a b =
   match (a, b) with
   | Col x, Col y -> equiv x y
-  | Const x, Const y -> Value.equal x y
-  | Neg x, Neg y | Not x, Not y -> equal_modulo equiv x y
+  | Const x, Const y -> value x y
+  | Neg x, Neg y | Not x, Not y -> equal_by ~value equiv x y
   | Bin (o1, x1, y1), Bin (o2, x2, y2) ->
-    o1 = o2 && equal_modulo equiv x1 x2 && equal_modulo equiv y1 y2
+    o1 = o2 && equal_by ~value equiv x1 x2 && equal_by ~value equiv y1 y2
   | Cmp (o1, x1, y1), Cmp (o2, x2, y2) ->
-    o1 = o2 && equal_modulo equiv x1 x2 && equal_modulo equiv y1 y2
+    o1 = o2 && equal_by ~value equiv x1 x2 && equal_by ~value equiv y1 y2
   | And (x1, y1), And (x2, y2) | Or (x1, y1), Or (x2, y2) ->
-    equal_modulo equiv x1 x2 && equal_modulo equiv y1 y2
-  | Like (x, p1), Like (y, p2) -> p1 = p2 && equal_modulo equiv x y
+    equal_by ~value equiv x1 x2 && equal_by ~value equiv y1 y2
+  | Like (x, p1), Like (y, p2) -> p1 = p2 && equal_by ~value equiv x y
   | In_list (x, v1), In_list (y, v2) ->
-    equal_modulo equiv x y
+    equal_by ~value equiv x y
     && List.length v1 = List.length v2
-    && List.for_all2 Value.equal v1 v2
+    && List.for_all2 value v1 v2
   | ( ( Col _ | Const _ | Neg _ | Not _ | Bin _ | Cmp _ | And _ | Or _
       | Like _ | In_list _ ),
       _ ) -> false
 
+let equal_modulo equiv a b = equal_by ~value:Value.equal equiv a b
 let equal a b = equal_modulo Column.equal a b
+let identical a b = equal_by ~value:Value.identical Column.equal a b
 
 (** Substitute column references, e.g. when mapping a predicate from base
     tables onto the output columns of a materialized view. *)

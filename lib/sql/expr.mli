@@ -36,7 +36,11 @@ val tables : t -> string list
 (** Tables referenced (duplicate-free, unspecified order). *)
 
 val equal : t -> t -> bool
-(** Structural equality. *)
+(** Structural equality; constants compare by {!Types.Value.equal}. *)
+
+val identical : t -> t -> bool
+(** Structural equality with constants compared by
+    {!Types.Value.identical} (exact float bits). *)
 
 val equal_modulo : (column -> column -> bool) -> t -> t -> bool
 (** Structural equality modulo a column-equivalence relation (the classes

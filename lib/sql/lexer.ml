@@ -74,22 +74,35 @@ let lex_ident st =
 
 let lex_number st =
   let start = st.pos in
-  while (match peek st with Some c -> is_digit c | None -> false) do
-    advance st
-  done;
-  let is_float =
-    match peek st with
-    | Some '.'
-      when st.pos + 1 < String.length st.src && is_digit st.src.[st.pos + 1] ->
-      advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done;
-      true
-    | _ -> false
+  let char_is i p = i < String.length st.src && p st.src.[i] in
+  let digits () =
+    while char_is st.pos is_digit do
+      advance st
+    done
+  in
+  (* skip [skip] characters and the digits after them, if digits follow *)
+  let digits_after ~skip =
+    char_is (st.pos + skip) is_digit
+    && begin
+         st.pos <- st.pos + skip;
+         digits ();
+         true
+       end
+  in
+  digits ();
+  let fraction = char_is st.pos (Char.equal '.') && digits_after ~skip:1 in
+  (* an exponent, as [%g] prints small and large floats: 9.5e-05, 1e+06 *)
+  let exponent =
+    char_is st.pos (function 'e' | 'E' -> true | _ -> false)
+    && digits_after
+         ~skip:
+           (if char_is (st.pos + 1) (function '+' | '-' -> true | _ -> false)
+            then 2
+            else 1)
   in
   let s = String.sub st.src start (st.pos - start) in
-  if is_float then FLOAT (float_of_string s) else INT (int_of_string s)
+  if fraction || exponent then FLOAT (float_of_string s)
+  else INT (int_of_string s)
 
 let lex_string st =
   advance st;

@@ -1,5 +1,7 @@
 (** Hand-written lexer for the SQL subset.  [--] comments run to end of
-    line; string literals use single quotes with [''] escaping. *)
+    line; string literals use single quotes with [''] escaping; a number
+    with a fraction or an exponent ([9.5e-05], [1e+06], as [%g] prints
+    them) is a {!FLOAT}. *)
 
 type token =
   | IDENT of string

@@ -91,6 +91,14 @@ module Value = struct
 
     let equal a b = compare a b = 0
 
+    let identical a b =
+      match (a, b) with
+      | VInt x, VInt y | VDate x, VDate y -> Int.equal x y
+      | VFloat x, VFloat y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      | VString x, VString y -> String.equal x y
+      | (VInt _ | VFloat _ | VDate _ | VString _), _ -> false
+
     let pp ppf = function
       | VInt i -> Fmt.int ppf i
       | VFloat f -> Fmt.pf ppf "%g" f

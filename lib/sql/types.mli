@@ -56,6 +56,11 @@ module Value : sig
 
   val compare : t -> t -> int
   val equal : t -> t -> bool
+  (** Equality through the float embedding: [VInt 3] equals [VFloat 3.]. *)
+
+  val identical : t -> t -> bool
+  (** Exact identity: same constructor and, for floats, the same bits. *)
+
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end

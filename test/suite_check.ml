@@ -166,6 +166,127 @@ let prop_bound_sound_tpch =
           end
       end)
 
+(* --- the ranking's bound memo (Bound_memo) ---------------------------------- *)
+
+(* the TPC-H relaxations of one class, each with the plans it affects:
+   0 = index transformations, 1 = view removals, 2 = view merges *)
+let tpch_class_cases =
+  lazy
+    (let cat, optimal, _, plans, transforms = Lazy.force tpch in
+     let est v =
+       O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
+     in
+     let cls : T.Transform.t -> int = function
+       | Remove_view _ -> 1
+       | Merge_views _ -> 2
+       | Merge_indexes _ | Split_indexes _ | Prefix_index _
+       | Promote_clustered _ | Remove_index _ -> 0
+     in
+     Array.init 3 (fun k ->
+         Array.of_list
+           (List.filter_map
+              (fun tr ->
+                if cls tr <> k then None
+                else
+                  match T.Transform.apply ~estimate_rows:est optimal tr with
+                  | None -> None
+                  | Some config' ->
+                    let ctx = tpch_bound_context cat optimal config' tr in
+                    let affected =
+                      Array.of_list
+                        (List.filter
+                           (fun (_, _, plan) -> T.Cost_bound.plan_affected ctx plan)
+                           (Array.to_list plans))
+                    in
+                    if Array.length affected = 0 then None
+                    else Some (ctx, affected))
+              (Array.to_list transforms))))
+
+(* one memo across every case: entries filled under one relaxation are
+   looked up under others, so an inexact key would show as a changed bit *)
+let shared_memo = lazy (T.Bound_memo.create ())
+
+let prop_bound_memo_bit_identical =
+  QCheck.Test.make
+    ~name:"memoized query_bound = direct query_bound, bit for bit (TPC-H)"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple (int_bound 2) (int_bound 10_000) (int_bound 10_000)))
+    (fun (k, ti, qi) ->
+      let cases = (Lazy.force tpch_class_cases).(k) in
+      QCheck.assume (Array.length cases > 0);
+      let ctx, affected = cases.(ti mod Array.length cases) in
+      let _, sq, plan = affected.(qi mod Array.length affected) in
+      let order_by = sq.Query.order_by in
+      let direct = T.Cost_bound.query_bound ~order_by ctx plan in
+      let memoized =
+        T.Cost_bound.query_bound ~order_by
+          ~best_cost:(T.Bound_memo.best_cost (Lazy.force shared_memo))
+          ctx plan
+      in
+      Int64.equal (Int64.bits_of_float direct) (Int64.bits_of_float memoized))
+
+let test_bound_memo_covers_view_contexts () =
+  Array.iteri
+    (fun k cases ->
+      Alcotest.(check bool)
+        (Printf.sprintf "relaxation class %d has affected plans" k)
+        true
+        (Array.length cases > 0))
+    (Lazy.force tpch_class_cases)
+
+(* Requests that may cost differently must never share an entry: not when
+   they differ only in the order's direction, not when their constants
+   differ only past the 6th significant digit — both of which
+   [Request.fingerprint] conflates. *)
+let test_bound_memo_key_exact () =
+  let cat = Lazy.force cat in
+  let env config = O.Env.make cat config in
+  let plain = env Config.empty in
+  let indexed = env (Config.of_indexes [ Index.on "r" [ "b" ] ]) in
+  let request ?(order = []) b =
+    O.Request.make ~rel:"r"
+      ~ranges:
+        [
+          Relax_sql.Predicate.(range ~lo:(bound (VFloat b)) (c "r" "b"));
+        ]
+      ~order ~cols:(Column_set.singleton (c "r" "a")) ()
+  in
+  let asc = request ~order:[ (c "r" "a", Asc) ] 1.0 in
+  let desc = request ~order:[ (c "r" "a", Desc) ] 1.0 in
+  let near = request 1.0000001 and far = request 1.0000002 in
+  Alcotest.(check string) "fingerprint drops the direction"
+    (O.Request.fingerprint asc) (O.Request.fingerprint desc);
+  Alcotest.(check string) "fingerprint drops the 7th digit"
+    (O.Request.fingerprint near) (O.Request.fingerprint far);
+  (* the memo's tables probe by this hash under their lock: constants
+     that differ must not all land in one bucket *)
+  Alcotest.(check bool) "hash reads the constants" true
+    (O.Request.hash near <> O.Request.hash far);
+  let obs = Relax_obs.Recorder.create () in
+  let memo = T.Bound_memo.create () in
+  Relax_obs.Recorder.with_ambient obs (fun () ->
+      List.iter
+        (fun (env, r) -> ignore (T.Bound_memo.best_cost memo env r : float))
+        [
+          (plain, asc); (plain, desc); (plain, near); (plain, far);
+          (* repeats, one of them a structurally equal copy: hits *)
+          (plain, asc); (plain, request ~order:[ (c "r" "a", Desc) ] 1.0);
+          (* same request, another index set on r: a new entry *)
+          (indexed, near);
+        ]);
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Relax_obs.Recorder.snapshot obs).named_counters)
+  in
+  Alcotest.(check int) "misses: one per distinct key" 5
+    (counter "rank.bound_memo.misses");
+  Alcotest.(check int) "hits: the two repeats" 2
+    (counter "rank.bound_memo.hits");
+  Alcotest.(check int64) "a hit returns the direct cost, bit for bit"
+    (Int64.bits_of_float (O.Access_path.best plain desc).O.Plan.cost)
+    (Int64.bits_of_float (T.Bound_memo.best_cost memo plain desc))
+
 (* --- structural invariants under random transformation sequences ----------- *)
 
 let prop_transforms_preserve_invariants =
@@ -457,6 +578,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_size_simulation_agrees;
     QCheck_alcotest.to_alcotest prop_bound_sound_tpch;
     QCheck_alcotest.to_alcotest prop_transforms_preserve_invariants;
+    QCheck_alcotest.to_alcotest prop_bound_memo_bit_identical;
+    Alcotest.test_case "bound memo: view relaxations covered" `Quick
+      test_bound_memo_covers_view_contexts;
+    Alcotest.test_case "bound memo: key is exact" `Quick
+      test_bound_memo_key_exact;
     Alcotest.test_case "invariants: double clustered" `Quick
       test_invariants_catch_double_clustered;
     Alcotest.test_case "invariants: unknown column" `Quick

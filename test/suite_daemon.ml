@@ -206,6 +206,26 @@ let test_stream_roundtrip () =
       "statement" select_a
       (Relax_sql.Pretty.statement_to_string e'.Query.stmt)
 
+(* [%g] writes constants below 1e-4 and from 1e6 up with an exponent: the
+   lexer must read them back, and the re-parsed entry must render to the
+   same line *)
+let test_stream_roundtrip_exponents () =
+  List.iter
+    (fun (sql, rendered) ->
+      let line = D.Stream.line_of_entry (entry "q" sql) in
+      Alcotest.(check bool)
+        (sql ^ " renders with an exponent") true
+        (Astring_contains.contains line rendered);
+      match D.Stream.parse_line line with
+      | Error msg -> Alcotest.failf "%s does not parse back: %s" line msg
+      | Ok e -> Alcotest.(check string) "same line" line (D.Stream.line_of_entry e))
+    [
+      ("SELECT r.a FROM r WHERE r.b >= 0.0000959421", "9.59421e-05");
+      ("SELECT r.a FROM r WHERE r.b < 1000000.0", "1e+06");
+      ("SELECT r.a FROM r WHERE r.b > 1234567.5 AND r.cc < 0.00001", "1.23457e+06");
+      ("UPDATE r SET a = 0.000002 WHERE r.b < 25000000.0", "2e-06");
+    ]
+
 (* --- the guardrail -------------------------------------------------------- *)
 
 let workload_small () =
@@ -558,6 +578,8 @@ let suite =
       test_window_capacity_eviction;
     Alcotest.test_case "stream: parse" `Quick test_stream_parse;
     Alcotest.test_case "stream: round-trip" `Quick test_stream_roundtrip;
+    Alcotest.test_case "stream: round-trip of exponent constants" `Quick
+      test_stream_roundtrip_exponents;
     Alcotest.test_case "guardrail: verdicts" `Quick test_guardrail_verdicts;
     Alcotest.test_case "guardrail: drift predicate" `Quick test_drift_predicate;
     Alcotest.test_case "daemon: warm re-tunes spend fewer calls" `Slow

@@ -125,6 +125,27 @@ let test_parse_errors () =
       | _ -> Alcotest.failf "expected parse error for %S" s)
     bad
 
+(* numbers with an exponent lex as floats; a bare [e] after digits stays
+   an identifier, as before exponents were read *)
+let test_lex_exponents () =
+  let module L = Relax_sql.Lexer in
+  let toks src = List.filter (fun t -> t <> L.EOF) (L.tokenize src) in
+  List.iter
+    (fun (src, expected) ->
+      match toks src with
+      | [ L.FLOAT f ] -> Fixtures.check_float src expected f
+      | _ -> Alcotest.failf "%S: expected one float token" src)
+    [
+      ("9.59421e-05", 9.59421e-05);
+      ("1e+06", 1e6);
+      ("2E3", 2000.0);
+      ("1.5e2", 150.0);
+    ];
+  Alcotest.(check int) "1e is a number then an identifier" 2
+    (List.length (toks "1e"));
+  Alcotest.(check int) "1e+ is a number, an identifier and a plus" 3
+    (List.length (toks "1e+"))
+
 let test_roundtrip_examples () =
   let stmts =
     [
@@ -188,6 +209,7 @@ let prop_implies_reflexive =
 
 let suite =
   [
+    Alcotest.test_case "lex exponents" `Quick test_lex_exponents;
     Alcotest.test_case "classify paper example" `Quick test_classify_paper_example;
     Alcotest.test_case "range intersect" `Quick test_range_intersect;
     Alcotest.test_case "range union unbounded" `Quick test_range_union_unbounded;
