@@ -17,9 +17,6 @@ val id : t -> string
 val size : Relax_catalog.Catalog.t -> t -> float
 val add_to_config : Config.t -> t -> Config.t
 
-val max_key_columns : int
-val max_suffix_columns : int
-
 val index_candidates : Relax_sql.Query.select_query -> Index.t list
 (** Heuristic candidates guessed from query structure: equality, range,
     join, grouping and ordering columns, in the classic combinations, plus

@@ -109,8 +109,6 @@ let col_stats t (c : column) : col_stats =
 let col_stats_opt t (c : column) = Hashtbl.find_opt t.stats (c.tbl, c.col)
 
 let col_width t c = (col_stats t c).width
-let col_distinct t c = (col_stats t c).distinct
-let col_type t c = (col_stats t c).stype
 
 (** Total width of a row of table [name]. *)
 let row_width t name =
@@ -142,14 +140,6 @@ let add_derived_table t ~name ~rows ~(cols : (string * col_stats) list) : t =
 (** Has this derived table been registered before?  If so its statistics are
     already available and {!add_derived_table} is O(1). *)
 let known_derived t name = Hashtbl.mem t.derived_memo name
-
-(** Remove a derived table (when a simulated view leaves the configuration). *)
-let remove_table t name =
-  (match find_table t name with
-  | Some td ->
-    List.iter (fun c -> Hashtbl.remove t.stats (name, c.cname)) td.cols
-  | None -> ());
-  { t with tables = String_map.remove name t.tables }
 
 (** A stable digest of the base schema and its statistics inputs: table
     names, row counts, column names/types/distributions and the

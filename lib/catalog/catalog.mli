@@ -46,7 +46,6 @@ val create : ?seed:int -> table_def list -> t
 (** {1 Lookup} *)
 
 val table_names : t -> string list
-val find_table : t -> string -> table_def option
 val table_exn : t -> string -> table_def
 val mem_table : t -> string -> bool
 val rows : t -> string -> float
@@ -54,8 +53,6 @@ val columns_of : t -> string -> column list
 val col_stats : t -> column -> col_stats
 val col_stats_opt : t -> column -> col_stats option
 val col_width : t -> column -> float
-val col_distinct : t -> column -> float
-val col_type : t -> column -> data_type
 val row_width : t -> string -> float
 
 (** {1 Derived tables (simulated views)} *)
@@ -70,8 +67,6 @@ val add_derived_table :
 val known_derived : t -> string -> bool
 (** Has this derived table been registered before? *)
 
-val remove_table : t -> string -> t
-
 (** {1 Identity} *)
 
 val fingerprint : t -> string
@@ -84,5 +79,4 @@ val fingerprint : t -> string
 
 (** {1 Printing} *)
 
-val pp_table : Format.formatter -> table_def -> unit
 val pp : Format.formatter -> t -> unit

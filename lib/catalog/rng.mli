@@ -5,7 +5,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 
 val float : t -> float
 (** Uniform in [0, 1). *)

@@ -109,13 +109,3 @@ let drift_exceeded ~margin ~predicted ~realized =
     [1.0] when the prediction is degenerate. *)
 let drift_ratio ~predicted ~realized =
   if predicted > 1e-12 then realized /. predicted else 1.0
-
-let verdict_json (v : verdict) : Obs.Json.t =
-  Obs.Json.Obj
-    [
-      ("passed", Obs.Json.Bool v.passed);
-      ("reasons", Obs.Json.List (List.map (fun s -> Obs.Json.String s) v.reasons));
-      ("size_bytes", Obs.Json.Float v.size_bytes);
-      ("recomputed_cost", Obs.Json.Float v.recomputed_cost);
-      ("claimed_cost", Obs.Json.Float v.claimed_cost);
-    ]

@@ -41,5 +41,3 @@ val drift_exceeded : margin:float -> predicted:float -> realized:float -> bool
 
 val drift_ratio : predicted:float -> realized:float -> float
 (** realized / predicted, [1.0] when the prediction is degenerate. *)
-
-val verdict_json : verdict -> Relax_obs.Json.t

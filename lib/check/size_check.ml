@@ -52,11 +52,6 @@ let simulate_btree_pages ?(params = Size_model.default_params) ~rows
   in
   float_of_int (levels leaves leaves)
 
-let simulate_heap_pages ?(params = Size_model.default_params) ~rows
-    ~row_width () =
-  let entries = int_of_float (Float.ceil (Float.max 1.0 rows)) in
-  float_of_int (pages_for entries (page_capacity params ~entry_width:row_width))
-
 (* Index widths re-derived from the definition: keys sum to the internal
    entry width; leaves carry keys + suffix + rid, or the whole row when
    clustered.  Deliberately not shared with [Size_model.index_widths]. *)

@@ -28,10 +28,6 @@ val simulate_btree_pages :
     likewise (clamped to ≥ 2), level page counts are integer ceiling
     divisions. *)
 
-val simulate_heap_pages :
-  ?params:Relax_physical.Size_model.params ->
-  rows:float -> row_width:float -> unit -> float
-
 val check_index :
   ?params:Relax_physical.Size_model.params ->
   ?rows:float ->

@@ -18,28 +18,11 @@ type request_stats = {
   view_requests : int;
 }
 
-val indexes_for_request :
-  Relax_optimizer.Env.t -> Relax_optimizer.Request.t -> Index.t list
-(** Optimal index candidates for one request: the seek-optimal covering
-    index (keys = sargable columns by increasing selectivity, equalities
-    first, at most one trailing non-equality; suffix = every other needed
-    column) and, when an order is requested, the order-providing index
-    (§2.1).  At most two. *)
-
-val view_for_request :
-  Relax_optimizer.Env.t -> Query.spjg -> (View.t * float * Index.t) option
-(** Materialize a view request: the sub-query itself, its cardinality
-    estimate, and a clustered index keyed on its grouping columns.  [None]
-    for single-table ungrouped blocks (index territory). *)
-
 type result = {
   optimal : Config.t;  (** the optimal configuration (§2.1) *)
   stats : request_stats list;
   passes : int;
 }
-
-val instrumentable : Query.workload -> (string * Query.select_query) list
-(** Statements to instrument: selects plus select components of updates. *)
 
 val optimal_configuration :
   Relax_catalog.Catalog.t ->

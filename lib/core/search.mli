@@ -56,16 +56,24 @@ type iteration_report = {
       (** (configuration, cost, size) of the evaluated node *)
 }
 
+(** Which structures the §2 instrumentation may propose. *)
+type mode = Indexes_only | Indexes_and_views
+
+(** The one options record of a tune: {!Tuner.tune} reads [mode] and
+    [base_config] for the instrumentation and hands the record to {!run}.
+    §3.5 shortcut evaluation is always on, and at most 256 ranked
+    transformations are kept per configuration. *)
 type options = {
-  space_budget : float;  (** B, bytes *)
+  mode : mode;
+  space_budget : float;  (** B, bytes; [infinity] = unconstrained (§4.1) *)
+  base_config : Config.t;
+      (** constraint-enforcing structures present in every configuration:
+          never transformed *)
   max_iterations : int;
   time_budget_s : float option;
-  protected : Config.t;  (** base configuration: never transformed *)
-  shortcut_evaluation : bool;  (** §3.5 *)
-  max_candidates_per_node : int;
   transforms_per_iteration : int;  (** §3.5 variant; paper default 1 *)
   shrink_configurations : bool;  (** §3.5 variant; default off *)
-  selection : selection;
+  selection : selection;  (** {!Penalty} is the paper's *)
   jobs : int;
       (** worker domains for parallel candidate scoring and plan
           re-optimization; 1 = fully sequential.  The recommended
@@ -80,13 +88,13 @@ type options = {
           the frugal tier is entirely off and the search behaves exactly
           as without it.  The frugal sweep runs sequentially on the main
           domain, so results stay deterministic at any [jobs]. *)
-  warm_start : Config.t option;
-      (** a previously deployed configuration seeded into the pool as a
-          second parentless node: evaluated up front (cache-warm when
-          [whatif] is reused), installed as the incumbent best if it fits,
-          arming shortcut pruning and the frugal contender gate from
-          iteration zero.  The continuous tuner's incremental re-tune
-          entry.  [None] (default): off. *)
+  initial_config : Config.t option;
+      (** warm start: a previously deployed configuration seeded into the
+          pool as a second parentless node: evaluated up front
+          (cache-warm when [whatif] is reused), installed as the
+          incumbent best if it fits, arming shortcut pruning and the
+          frugal contender gate from iteration zero.  The continuous
+          tuner's incremental re-tune entry.  [None] (default): off. *)
   whatif : O.Whatif.t option;
       (** an existing what-if interface to run against instead of a fresh
           one, sharing its plan cache and advisory bound store across
@@ -98,10 +106,10 @@ type options = {
           differential invariant checker. *)
 }
 
-val default_options : space_budget:float -> options
-(** [jobs] defaults to {!Relax_parallel.Pool.default_jobs} ([RELAX_JOBS]
-    or the machine's domain count, capped at 8); [on_iteration] to
-    [None]. *)
+val default_options : ?mode:mode -> space_budget:float -> unit -> options
+(** [mode] defaults to [Indexes_and_views], [max_iterations] to 400 and
+    [jobs] to {!Relax_parallel.Pool.default_jobs} ([RELAX_JOBS] or the
+    machine's domain count, capped at 8); the rest are off or empty. *)
 
 type candidate = {
   tr : Transform.t;
@@ -146,8 +154,7 @@ type prepared = {
   selects : (string * float * Query.select_query) list;
   selects_arr : (string * float * Query.select_query) array;
   slots : (string, int) Hashtbl.t;  (** qid → slot *)
-  dmls : (float * Query.dml) list;
-  has_updates : bool;
+  dmls : (float * Query.dml) list;  (** empty iff the workload has no updates *)
 }
 
 val prepare : Query.workload -> prepared

@@ -15,59 +15,10 @@ module Config = Relax_physical.Config
 module Catalog = Relax_catalog.Catalog
 module O = Relax_optimizer
 
-type mode = Indexes_only | Indexes_and_views
+type mode = Search.mode = Indexes_only | Indexes_and_views
+type options = Search.options
 
-type options = {
-  mode : mode;
-  space_budget : float;  (** bytes; [infinity] = unconstrained (§4.1) *)
-  base_config : Config.t;
-      (** constraint-enforcing structures present in every configuration *)
-  max_iterations : int;
-  time_budget_s : float option;
-  transforms_per_iteration : int;  (** §3.5 variant; the paper default is 1 *)
-  shrink_configurations : bool;  (** §3.5 variant; default off *)
-  selection : Search.selection;
-      (** transformation-choice strategy; {!Search.Penalty} is the paper's *)
-  jobs : int;
-      (** worker domains for the parallel search; 1 = sequential.  The
-          recommendation is identical whatever the value. *)
-  whatif_budget : int option;
-      (** frugal costing (see {!Search.options.whatif_budget}): cap on the
-          what-if optimizer calls the relaxation ranking may spend;
-          [None] = unlimited (the frugal tier is off).  With a finite
-          budget the recommended cost is re-derived from exact per-query
-          what-if costs after the search, so the reported numbers are
-          honest even when the search ran on bound-costed plans. *)
-  initial_config : Config.t option;
-      (** warm start: a previously deployed configuration seeded into the
-          search pool as an incumbent (see {!Search.options.warm_start}).
-          The continuous tuner's incremental re-tune entry; [None] =
-          tune from scratch. *)
-  whatif : O.Whatif.t option;
-      (** an existing what-if interface to tune through, keeping its plan
-          cache and advisory bounds warm across re-tunes; [None] = a
-          fresh one per call. *)
-  on_iteration : (Search.iteration_report -> unit) option;
-      (** per-iteration hook threaded to {!Search.run}; used by the
-          differential invariant checker ([Relax_check]) *)
-}
-
-let default_options ?(mode = Indexes_and_views) ~space_budget () =
-  {
-    mode;
-    space_budget;
-    base_config = Config.empty;
-    max_iterations = 400;
-    time_budget_s = None;
-    transforms_per_iteration = 1;
-    shrink_configurations = false;
-    selection = Search.Penalty;
-    jobs = Relax_parallel.Pool.default_jobs ();
-    whatif_budget = None;
-    initial_config = None;
-    whatif = None;
-    on_iteration = None;
-  }
+let default_options = Search.default_options
 
 type result = {
   workload : Query.workload;
@@ -120,25 +71,9 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
     Instrument.optimal_configuration catalog ~base:options.base_config ~views
       workload
   in
-  let search_opts =
-    {
-      (Search.default_options ~space_budget:options.space_budget) with
-      max_iterations = options.max_iterations;
-      time_budget_s = options.time_budget_s;
-      protected = options.base_config;
-      transforms_per_iteration = options.transforms_per_iteration;
-      shrink_configurations = options.shrink_configurations;
-      selection = options.selection;
-      jobs = options.jobs;
-      whatif_budget = options.whatif_budget;
-      warm_start = options.initial_config;
-      whatif = options.whatif;
-      on_iteration = options.on_iteration;
-    }
-  in
   let outcome =
     Relax_obs.Recorder.with_span recorder "tuner.search" @@ fun () ->
-    Search.run catalog ~workload ~initial:inst.optimal search_opts
+    Search.run catalog ~workload ~initial:inst.optimal options
   in
   Relax_obs.Recorder.with_span recorder "tuner.report" @@ fun () ->
   (* Every report cost goes through the search's own what-if interface:
@@ -220,7 +155,7 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
      cost; with no updates this is simply the optimal configuration cost *)
   let lower_bound =
     let prepared = Search.prepare workload in
-    if not prepared.has_updates then outcome.initial.cost
+    if prepared.dmls = [] then outcome.initial.cost
     else begin
       let base_env = O.Env.make catalog options.base_config in
       outcome.initial.select_cost

@@ -122,7 +122,7 @@ let persist t =
   match t.opts.state_path with
   | None -> ()
   | Some path ->
-    Out_channel.with_open_bin path (fun oc ->
+    Obs.Durable.write_file path (fun oc ->
         Out_channel.output_string oc t.deployed_json;
         Out_channel.output_char oc '\n')
 
@@ -404,7 +404,6 @@ let finalize t =
 let window_workload t = Window.workload t.window
 let deployed t = t.deployed
 let deployed_json t = t.deployed_json
-let predicted_unit_cost t = t.predicted_unit
 let statements_seen t = t.arrivals
 let retunes t = t.retune_count
 let rollbacks t = t.rollback_count

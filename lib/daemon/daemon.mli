@@ -29,8 +29,10 @@
     affected qids evicted from the shared what-if cache.
 
     Deploys, rollbacks and shutdown persist the deployed configuration's
-    JSON to [options.state_path] when set; {!create} warm-loads it back,
-    so a restarted daemon resumes from the last deployment. *)
+    JSON to [options.state_path] when set, through
+    {!Relax_obs.Durable.write_file} so a crash mid-write leaves the
+    previous deployment readable; {!create} warm-loads it back, so a
+    restarted daemon resumes from the last deployment. *)
 
 module Query = Relax_sql.Query
 module Config = Relax_physical.Config
@@ -106,9 +108,6 @@ val ingest_event : t -> Stream.event -> retune option
 (** {!ingest} for well-formed events; malformed lines are counted and
     emitted as [daemon.malformed] trace events. *)
 
-val force_retune : t -> retune option
-(** Run a re-tune cycle now ([None] on an empty window). *)
-
 val finalize : t -> retune option
 (** The SIGTERM path: one final re-tune over the residual window (when
     any statements arrived since the last cycle), persist the deployed
@@ -121,12 +120,8 @@ val deployed : t -> Config.t
 val deployed_json : t -> string
 (** The deployment's durable JSON — the exact bytes rollback restores. *)
 
-val predicted_unit_cost : t -> float option
 val statements_seen : t -> int
 val retunes : t -> int
 val rollbacks : t -> int
 val malformed : t -> int
 val history : t -> retune list  (** oldest first *)
-
-val retune_json : retune -> Relax_obs.Json.t
-(** The [daemon.retune] trace event body. *)

@@ -20,12 +20,6 @@ val column_index : relation -> column -> int
 
 val row_count : relation -> int
 
-val generate_table :
-  ?seed:int -> Relax_catalog.Catalog.t -> string -> relation
-(** Deterministically draw one base table's rows from its column
-    distributions (integer-typed columns round to integers so equality
-    predicates can match). *)
-
 (** An in-memory database: lazily generated base tables plus registered
     materialized-view contents. *)
 type t = {

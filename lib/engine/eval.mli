@@ -19,10 +19,6 @@ val index_of : rowset -> column -> int
 exception Unsupported of string
 (** Raised for constructs with no numeric execution (LIKE). *)
 
-val eval_expr : rowset -> float array -> Relax_sql.Expr.t -> float
-val eval_pred : rowset -> float array -> Relax_sql.Expr.t -> bool
-val eval_range : rowset -> float array -> Relax_sql.Predicate.range -> bool
-
 val filter :
   rowset ->
   ranges:Relax_sql.Predicate.range list ->

@@ -73,10 +73,6 @@ type analysis = {
   a_markers : marker list;
 }
 
-val canonical_modname : string -> string
-(** ["Relax_optimizer__Whatif"] -> ["Whatif"] (the part after the last
-    dune wrapping separator). *)
-
 val analyze :
   modname:string -> source:string -> Typedtree.structure -> analysis
 (** [modname] is the raw cmt module name; the analysis stores and keys

@@ -10,17 +10,6 @@ type t = {
 let make ~rule ~file ~line ~col ~message ~suggestion =
   { rule; file; line; col; message; suggestion }
 
-let of_loc ~rule ~message ~suggestion (loc : Location.t) =
-  let p = loc.loc_start in
-  {
-    rule;
-    file = p.pos_fname;
-    line = p.pos_lnum;
-    col = p.pos_cnum - p.pos_bol;
-    message;
-    suggestion;
-  }
-
 let compare a b =
   match String.compare a.file b.file with
   | 0 -> (

@@ -23,10 +23,6 @@ val make :
   t
 (** Build a finding from an already-extracted position. *)
 
-val of_loc :
-  rule:string -> message:string -> suggestion:string -> Location.t -> t
-(** Build a finding from a compiler location (start position). *)
-
 val compare : t -> t -> int
 (** Order by file, line, column, rule — the emission order of reports. *)
 

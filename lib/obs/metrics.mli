@@ -81,7 +81,6 @@ type snapshot = {
 }
 
 val snapshot : t -> spans:span_stat list -> snapshot
-val empty_snapshot : snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise sum (assoc lists merged by key, span times summed,

@@ -72,11 +72,6 @@ type scaling = {
   s_skipped : string option;  (** waiver reason, when waived *)
 }
 
-val check_scaling :
-  ?time_tol:float -> Json.t -> (scaling, string) result
-(** [time_tol] defaults to 0.10: jobs=2 may be at most 10 % slower than
-    jobs=1 before the gate trips (scheduler noise allowance). *)
-
 val check_scaling_file :
   ?time_tol:float -> string -> (scaling, string) result
 

@@ -146,10 +146,3 @@ let aggregates t : Metrics.span_stat list =
 let spans t =
   Mutex.protect t.lock (fun () -> t.completed)
   |> List.sort (fun a b -> Int.compare a.sid b.sid)
-
-let open_depth t =
-  let domain = (Domain.self () :> int) in
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.stacks domain with
-      | None -> 0
-      | Some stack -> List.length stack)

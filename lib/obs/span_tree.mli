@@ -39,6 +39,3 @@ val aggregates : t -> Metrics.span_stat list
 
 val spans : t -> span list
 (** Completed spans in open (sid) order; [[]] unless [retain]. *)
-
-val open_depth : t -> int
-(** Open frames on the calling domain's stack (for tests). *)

@@ -15,11 +15,6 @@ val make : Catalog.t -> Config.t -> t
 (** Registers a derived table per view, synthesizing column statistics from
     the base tables the view projects (memoized per view). *)
 
-val stats_for_item :
-  Catalog.t -> view_rows:float -> Relax_sql.Query.select_item ->
-  Catalog.col_stats
-(** Statistics synthesized for one view output column. *)
-
 val rows : t -> string -> float
 val col_stats : t -> column -> Catalog.col_stats
 val col_stats_opt : t -> column -> Catalog.col_stats option

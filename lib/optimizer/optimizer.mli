@@ -14,7 +14,3 @@ val optimize :
   Relax_sql.Query.select_query ->
   Plan.t
 (** Optimize one select query under a configuration. *)
-
-val optimize_select :
-  Env.t -> ?hooks:Hooks.t -> Relax_sql.Query.select_query -> Plan.t
-(** Same, under a pre-built environment. *)

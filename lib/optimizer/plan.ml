@@ -129,15 +129,6 @@ let exists_access pred t =
 (** All index usages in the plan. *)
 let index_usages t = List.concat_map (fun a -> a.usages) (accesses t)
 
-(** Does the plan use this physical structure (index, or any index over the
-    named view / the view itself)? *)
-let uses_index t i =
-  exists_access
-    (fun a -> List.exists (fun u -> Index.equal u.index i) a.usages)
-    t
-
-let uses_relation t rel = exists_access (fun (a : access_info) -> a.rel = rel) t
-
 let uses_view t v =
   exists_access
     (fun (a : access_info) ->

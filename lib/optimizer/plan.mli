@@ -83,8 +83,6 @@ val accesses : t -> access_info list
 (** Every access decision in the plan ({!iter_accesses} order). *)
 
 val index_usages : t -> index_usage list
-val uses_index : t -> Index.t -> bool
-val uses_relation : t -> string -> bool
 val uses_view : t -> View.t -> bool
 
 val pp : Format.formatter -> t -> unit

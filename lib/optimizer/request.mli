@@ -34,14 +34,6 @@ val make :
 val sargable_columns : t -> Column_set.t
 (** S. *)
 
-val non_sargable_columns : t -> Column_set.t
-(** Columns of N. *)
-
-val order_columns : t -> column list
-
-val additional_columns : t -> Column_set.t
-(** A: referenced columns not already in S, N or O. *)
-
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

@@ -6,8 +6,6 @@
     is charged whenever the view reads the updated table, with a multiplier
     for delta computation. *)
 
-val view_delta_factor : float
-
 val affected_rows : Env.t -> Relax_sql.Query.dml -> float
 (** Estimated rows the statement touches. *)
 

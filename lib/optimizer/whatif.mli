@@ -7,12 +7,11 @@
     mechanism behind the paper's "only re-optimize queries that used a
     replaced structure".
 
-    Domain-safe: the plan cache is sharded by key hash and every shard
-    publishes a read-mostly snapshot in an [Atomic.t], so cache-hit
-    reads ({!plan_select}'s fast path, {!find_cached}, {!cost_interval})
-    are lock-free — one atomic load plus a persistent-map lookup.
-    Writers insert under the shard mutex and publish the extended
-    snapshot before releasing it.  Concurrent requests for the same
+    Domain-safe: the plan cache is sharded by key hash and each shard's
+    store is one persistent map in an [Atomic.t], so cache-hit reads
+    ({!plan_select}'s fast path, {!find_cached}, {!cost_interval}) are
+    lock-free — one atomic load plus a map lookup.  Writers replace the
+    map under the shard mutex.  Concurrent requests for the same
     uncached key are deduplicated: the first pays the optimizer call,
     later ones wait on the shard's condition variable and count a cache
     hit.  The advisory bound store is sharded the same way (by qid), so
@@ -25,11 +24,6 @@ val create : Relax_catalog.Catalog.t -> t
 
 val stats : t -> int * int
 (** (optimizer calls actually executed, cache hits). *)
-
-val shard_stats : t -> (int * int) array
-(** Per-shard (hits, misses); also sampled into the
-    [whatif.cache_hits] / [whatif.cache_misses] counter tracks when the
-    ambient recorder is profiling. *)
 
 val cached_plans : t -> int
 (** Number of distinct plans currently memoized, across all shards. *)
@@ -97,7 +91,9 @@ val per_entry_costs :
 
 val save_bounds : t -> file:string -> (int, string) result
 (** Write the current advisory bounds to [file] (deterministic order:
-    qids sorted, records oldest first).  [Ok n] is the record count. *)
+    qids sorted, records oldest first) through
+    {!Relax_obs.Durable.write_file}, so a failed write leaves the old file
+    intact.  [Ok n] is the record count. *)
 
 val load_bounds : t -> file:string -> (int, string) result
 (** Merge the records of [file] into the store, newest-first order

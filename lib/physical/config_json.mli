@@ -10,5 +10,4 @@
 val to_json : Config.t -> Relax_obs.Json.t
 val to_string : Config.t -> string
 
-val of_json : Relax_obs.Json.t -> (Config.t, string) result
 val of_string : string -> (Config.t, string) result

@@ -3,7 +3,6 @@
     render as [INCLUDE (...)]; clustered indexes carry [CLUSTERED]. *)
 
 val pp_index : Format.formatter -> Index.t -> unit
-val pp_view : Format.formatter -> View.t -> unit
 
 val pp_config : Format.formatter -> Config.t -> unit
 (** The full deployment script: views first, then indexes. *)
@@ -28,9 +27,7 @@ val delta_is_empty : delta -> bool
 val delta_cardinal : delta -> int
 (** Number of DDL statements the delta would execute. *)
 
-val pp_delta : Format.formatter -> delta -> unit
+val delta_to_string : delta -> string
 (** Executable top to bottom: created views before their indexes, dropped
     indexes before their views.  Drops identify indexes by their
     content-derived names. *)
-
-val delta_to_string : delta -> string

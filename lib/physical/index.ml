@@ -51,8 +51,6 @@ let on table ?(clustered = false) ?(suffix = []) keys =
 let columns t =
   List.fold_left (fun acc c -> Column_set.add c acc) t.suffix t.keys
 
-let key_set t = Column_set.of_list t.keys
-
 let compare a b =
   match List.compare Column.compare a.keys b.keys with
   | 0 -> (

@@ -22,11 +22,6 @@ val btree_pages :
   ?params:params -> rows:float -> leaf_width:float -> key_width:float ->
   unit -> float
 
-val btree_height :
-  ?params:params -> rows:float -> leaf_width:float -> key_width:float ->
-  unit -> int
-(** Levels above the leaves: the random reads of one seek descent. *)
-
 val index_bytes :
   ?params:params ->
   rows:float ->
@@ -58,5 +53,4 @@ val height :
 val heap_pages : ?params:params -> rows:float -> row_width:float -> unit -> float
 
 val mb : float -> float
-val gb : float -> float
 val pp_bytes : Format.formatter -> float -> unit

@@ -25,8 +25,6 @@ type t =
 let col c = Col c
 let const v = Const v
 let int_ i = Const (VInt i)
-let float_ f = Const (VFloat f)
-let string_ s = Const (VString s)
 
 (** All column references appearing in an expression. *)
 let rec columns = function

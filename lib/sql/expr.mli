@@ -24,8 +24,6 @@ type t =
 val col : column -> t
 val const : value -> t
 val int_ : int -> t
-val float_ : float -> t
-val string_ : string -> t
 
 (** {1 Analysis} *)
 

@@ -226,8 +226,6 @@ let pp_range ppf r =
     | None -> assert false
   else Fmt.pf ppf "%a%a%a" pp_bound_lo r.lo Column.pp r.rcol pp_bound_hi r.hi
 
-let pp_join ppf j = Fmt.pf ppf "%a = %a" Column.pp j.left Column.pp j.right
-
 (** Render a range back into an expression (for pretty-printing and for
     feeding residual predicates to compensating filters). *)
 let range_to_exprs r =

@@ -25,7 +25,6 @@ type join = { left : column; right : column }
 (** {1 Joins} *)
 
 val make_join : column -> column -> join
-val join_equal : join -> join -> bool
 val join_mem : join -> join list -> bool
 val join_to_expr : join -> Expr.t
 
@@ -82,4 +81,3 @@ val classified_columns : classified -> Column_set.t
 (** {1 Printing} *)
 
 val pp_range : Format.formatter -> range -> unit
-val pp_join : Format.formatter -> join -> unit

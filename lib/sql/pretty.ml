@@ -52,8 +52,3 @@ let pp_statement ppf = function
   | Query.Dml d -> pp_dml ppf d
 
 let statement_to_string s = Fmt.str "%a" pp_statement s
-
-let pp_entry ppf (e : Query.entry) =
-  Fmt.pf ppf "-- %s (weight %g)@.%a;@." e.qid e.weight pp_statement e.stmt
-
-let pp_workload ppf (w : Query.workload) = List.iter (pp_entry ppf) w

@@ -3,9 +3,4 @@
     checks). *)
 
 val pp_spjg : Format.formatter -> Query.spjg -> unit
-val pp_select : Format.formatter -> Query.select_query -> unit
-val pp_dml : Format.formatter -> Query.dml -> unit
-val pp_statement : Format.formatter -> Query.statement -> unit
 val statement_to_string : Query.statement -> string
-val pp_entry : Format.formatter -> Query.entry -> unit
-val pp_workload : Format.formatter -> Query.workload -> unit

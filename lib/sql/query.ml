@@ -114,17 +114,10 @@ type workload = entry list
 
 let entry ?(weight = 1.0) qid stmt = { qid; weight; stmt }
 
-let select_entries w =
-  List.filter_map
-    (fun e -> match e.stmt with Select q -> Some (e, q) | Dml _ -> None)
-    w
-
 let dml_entries w =
   List.filter_map
     (fun e -> match e.stmt with Dml d -> Some (e, d) | Select _ -> None)
     w
-
-let has_updates w = dml_entries w <> []
 
 (** Tables referenced by a statement. *)
 let statement_tables = function

@@ -73,9 +73,7 @@ type entry = { qid : string; weight : float; stmt : statement }
 type workload = entry list
 
 val entry : ?weight:float -> string -> statement -> entry
-val select_entries : workload -> (entry * select_query) list
 val dml_entries : workload -> (entry * dml) list
-val has_updates : workload -> bool
 val statement_tables : statement -> string list
 
 val column_equiv : Predicate.join list -> column -> column -> bool

@@ -53,8 +53,6 @@ module Column_map = Map.Make (Column)
 let pp_column_set ppf s =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma Column.pp) (Column_set.elements s)
 
-let column_set_of_list = Column_set.of_list
-
 (** SQL constants.  Dates are stored as day numbers so they order and
     subtract like integers. *)
 type value =
@@ -129,7 +127,3 @@ let pp_arith_op ppf op =
     (match op with Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/")
 
 type order_dir = Asc | Desc
-
-let pp_order_dir ppf = function
-  | Asc -> Fmt.string ppf "ASC"
-  | Desc -> Fmt.string ppf "DESC"

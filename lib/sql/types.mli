@@ -37,7 +37,6 @@ module Column_set : Set.S with type elt = column
 module Column_map : Map.S with type key = column
 
 val pp_column_set : Format.formatter -> Column_set.t -> unit
-val column_set_of_list : column list -> Column_set.t
 
 (** SQL constants.  Dates are day numbers, so they order and subtract like
     integers. *)
@@ -76,5 +75,3 @@ type arith_op = Add | Sub | Mul | Div
 val pp_arith_op : Format.formatter -> arith_op -> unit
 
 type order_dir = Asc | Desc
-
-val pp_order_dir : Format.formatter -> order_dir -> unit

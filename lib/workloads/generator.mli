@@ -25,13 +25,6 @@ type schema = {
       (** the FK join graph *)
 }
 
-val random_select : schema -> Relax_catalog.Rng.t -> profile -> Query.select_query
-(** One random SPJG query: connected walk over the join graph, predicate
-    constants drawn from the columns' own distributions, grouping over
-    low-cardinality columns. *)
-
-val random_dml : schema -> Relax_catalog.Rng.t -> profile -> Query.dml
-
 val reparameterize :
   ?avg_sel:float ->
   schema ->

@@ -12,9 +12,6 @@ val join_graph :
   (Relax_sql.Types.column * Relax_sql.Types.column) list
 (** The foreign-key join graph, for the random generators. *)
 
-val query_texts : (string * string) list
-(** The 22 templates as (id, SQL). *)
-
 val workload : unit -> Relax_sql.Query.workload
 (** All 22 queries, parsed. *)
 

@@ -204,6 +204,35 @@ let test_file_sink () =
       Alcotest.(check string)
         "file contents" "{\"a\":1}\n{\"a\":2}\n" content)
 
+(* --- durable writes --------------------------------------------------- *)
+
+exception Writer_failed
+
+let test_durable_write () =
+  let dir = Filename.temp_dir "relax_durable" "" in
+  let path = Filename.concat dir "state.json" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Obs.Durable.write_file path (fun oc -> output_string oc "old\n");
+      Alcotest.(check string) "first write lands" "old\n" (read ());
+      (match
+         Obs.Durable.write_file path (fun oc ->
+             output_string oc "half of the new cont";
+             raise Writer_failed)
+       with
+      | () -> Alcotest.fail "the writer's exception was swallowed"
+      | exception Writer_failed -> ());
+      Alcotest.(check string) "old file byte-identical" "old\n" (read ());
+      Alcotest.(check (list string))
+        "no temporary file left" [ "state.json" ]
+        (Array.to_list (Sys.readdir dir));
+      Obs.Durable.write_file path (fun oc -> output_string oc "new\n");
+      Alcotest.(check string) "replacement lands" "new\n" (read ()))
+
 (* --- end-to-end: tuning under a recorder ----------------------------- *)
 
 let run_traced_tune () =
@@ -313,7 +342,7 @@ let test_metrics_match_legacy_stats () =
   let budget = Config.total_bytes cat inst.optimal *. 0.5 in
   let opts =
     {
-      (T.Search.default_options ~space_budget:budget) with
+      (T.Search.default_options ~space_budget:budget ()) with
       max_iterations = 60;
     }
   in
@@ -365,6 +394,8 @@ let suite =
     Alcotest.test_case "trace: memory sink, lazy emit" `Quick
       test_memory_sink_and_lazy_emit;
     Alcotest.test_case "trace: file sink" `Quick test_file_sink;
+    Alcotest.test_case "durable: failed write keeps the old file" `Quick
+      test_durable_write;
     Alcotest.test_case "trace: lines parse" `Quick test_trace_lines_parse;
     Alcotest.test_case "trace: iteration schema" `Quick
       test_trace_iteration_schema;

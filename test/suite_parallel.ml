@@ -101,7 +101,29 @@ let test_whatif_concurrent_domains () =
       ]
   in
   let selects = (T.Search.prepare w).selects in
-  let n = List.length selects in
+  (* several configurations, so racing writers land on shared shards
+     with distinct keys as well as the same ones *)
+  let configs =
+    [
+      Config.empty;
+      Config.of_indexes [ Index.on "r" [ "a" ] ];
+      Config.of_indexes [ Index.on "r" [ "b" ]; Index.on "s" [ "x" ] ];
+      Config.of_indexes [ Index.on "s" [ "x" ] ];
+    ]
+  in
+  (* a plan is keyed by its qid and the configuration restricted to the
+     query's tables *)
+  let distinct =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun config ->
+           List.map
+             (fun (qid, _, (q : Query.select_query)) ->
+               (qid, Config.fingerprint_for_tables config q.body.tables))
+             selects)
+         configs)
+    |> List.length
+  in
   let whatif = O.Whatif.create cat in
   let rounds = 5 and domains = 4 in
   let workers =
@@ -109,21 +131,26 @@ let test_whatif_concurrent_domains () =
         Domain.spawn (fun () ->
             for _ = 1 to rounds do
               List.iter
-                (fun (qid, _, q) ->
-                  ignore (O.Whatif.plan_select whatif Config.empty ~qid q))
-                selects
+                (fun config ->
+                  List.iter
+                    (fun (qid, _, q) ->
+                      ignore (O.Whatif.plan_select whatif config ~qid q))
+                    selects)
+                configs
             done))
   in
   Array.iter Domain.join workers;
   let calls, hits = O.Whatif.stats whatif in
-  Alcotest.(check int) "every lookup accounted" (domains * rounds * n)
+  Alcotest.(check int) "every lookup accounted"
+    (domains * rounds * List.length configs * List.length selects)
     (calls + hits);
-  Alcotest.(check bool) "at least one call per distinct key" true (calls >= n);
-  Alcotest.(check int) "one memoized plan per distinct key" n
+  (* in-flight dedup: a key being optimized is waited for, never paid
+     twice *)
+  Alcotest.(check int) "one optimizer call per distinct key" distinct calls;
+  Alcotest.(check int) "one memoized plan per distinct key" distinct
     (O.Whatif.cached_plans whatif);
-  (* racing domains may duplicate an optimization but never a cache slot *)
-  Alcotest.(check bool) "calls bounded by domains x keys" true
-    (calls <= domains * n)
+  Alcotest.(check int) "one bound record per distinct key" distinct
+    (O.Whatif.bounds_size whatif)
 
 let test_whatif_deterministic_plans () =
   let cat = Lazy.force cat in
