@@ -33,7 +33,8 @@ val adds_structures : t -> bool
 
 val removed_indexes : Config.t -> t -> Index.t list
 (** Indexes leaving the configuration (for view transformations: every
-    index over the removed views). *)
+    index over the removed views).  An input of a merge or split that the
+    result reproduces stays, so it is not listed. *)
 
 val removed_views : t -> View.t list
 
