@@ -373,6 +373,5 @@ let patched_plan ?(order_by = []) ctx (plan : O.Plan.t) : O.Plan.t option =
     ({!Relax_optimizer.Whatif.cost_interval}) raises the lower end from
     {e observed} costs of structure-comparable configurations, which is
     sound by construction. *)
-let query_lower_bound ?(order_by = []) ctx (plan : O.Plan.t) : float =
-  ignore order_by;
+let query_lower_bound ctx (plan : O.Plan.t) : float =
   if not ctx.expands then plan.cost else 0.0

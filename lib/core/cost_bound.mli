@@ -101,7 +101,6 @@ val patched_plan :
     computation, not a plan). *)
 
 val query_lower_bound :
-  ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
   context ->
   O.Plan.t ->
   float

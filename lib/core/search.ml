@@ -122,9 +122,7 @@ type options = {
           continuous tuner's incremental re-tune entry. *)
   whatif : O.Whatif.t option;
       (** an existing what-if interface to run against instead of a fresh
-          one, sharing its plan cache and advisory bounds across runs.
-          [outcome.optimizer_calls]/[cache_hits] still report this run's
-          deltas. *)
+          one, sharing its plan cache and advisory bounds across runs *)
   on_iteration : (iteration_report -> unit) option;
       (** invoked once per iteration, after evaluation and trace emission,
           from the main domain (never from workers).  Used by the
@@ -176,7 +174,6 @@ type node = {
   cost : float;
   size : float;
   parent : int option;
-  via : Transform.t option;
   actual_penalty : float;
       (** realized (cost increase)/(space saved) when created *)
   pseudo : Bitset.t;
@@ -184,7 +181,6 @@ type node = {
           bound-substituted (not re-optimized) cost; empty on exact runs *)
   mutable untried : candidate list;  (** sorted by increasing penalty *)
   mutable candidates_ready : bool;
-  mutable pruned : bool;
 }
 
 type prepared = {
@@ -244,8 +240,6 @@ type state = {
   seen : (string, unit) Hashtbl.t;  (** configuration fingerprints *)
   cbv_lock : Mutex.t;  (** guards [cbv_cache] (held across the optimize) *)
   cbv_cache : (string, float) Hashtbl.t;
-  size_lock : Mutex.t;  (** guards [size_cache] *)
-  size_cache : (string, float) Hashtbl.t;  (** per-index size memo *)
   heaps : (string * float) list;
       (** heap bytes of every base table, in catalog order *)
   bound_memo : Bound_memo.t;  (** §3.3.2 access re-costing memo *)
@@ -274,22 +268,6 @@ let used_structure_names (plans : O.Plan.t array) =
     plans;
   used
 
-(* Memoized size of one index under a configuration (the owner's row count
-   pins the size; view row estimates are stored in the configuration).
-   Sizes are computed outside the lock: a racing double-compute is
-   harmless because the size is a deterministic function of the key. *)
-let index_size st config (i : Relax_physical.Index.t) =
-  let rows = Config.relation_rows st.catalog config (Index.owner i) in
-  let key = Index.name i ^ "@" ^ string_of_float rows in
-  match
-    Mutex.protect st.size_lock (fun () -> Hashtbl.find_opt st.size_cache key)
-  with
-  | Some s -> s
-  | None ->
-    let s = Config.index_bytes st.catalog config i in
-    Mutex.protect st.size_lock (fun () -> Hashtbl.replace st.size_cache key s);
-    s
-
 (* Heap bytes of every base table, computed once per run: the search's
    catalog value never gains tables ([Catalog.add_derived_table] returns a
    new catalog). *)
@@ -313,7 +291,7 @@ let heap_bytes st config =
 
 let config_size st config =
   List.fold_left
-    (fun acc i -> acc +. index_size st config i)
+    (fun acc i -> acc +. Config.index_bytes st.catalog config i)
     (heap_bytes st config) (Config.indexes config)
 
 let shell_cost_of st config =
@@ -347,25 +325,36 @@ let estimate_view_rows st (v : View.t) =
 (* node evaluation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let bound_context ?old_env st ~old_config ~new_config (tr : Transform.t) :
-    Cost_bound.context =
-  let view_merge =
-    match tr with
-    | Merge_views (a, b) -> (
-      match View.merge a b with Some m -> Some (m, a, b) | None -> None)
-    | _ -> None
-  in
+(* What C → C′ removed: the indexes and views of [old_config] that
+   [new_config] lacks.  Read off the configuration pair, so it covers every
+   transformation a §3.5 step piled on, and the only such answer in the
+   search. *)
+let removed_structures ~old_config ~new_config =
+  ( Index.Set.elements
+      (Index.Set.diff (Config.index_set old_config)
+         (Config.index_set new_config)),
+    List.filter
+      (fun v -> not (Config.mem_view new_config v))
+      (Config.views old_config) )
+
+(* The §3.3.2 context of a relaxation that removed [removed] by applying
+   [trs]. *)
+let bound_context st ~old_env ~new_config (removed_indexes, removed_views)
+    (trs : Transform.t list) : Cost_bound.context =
   {
     env' = O.Env.make st.catalog new_config;
-    old_env =
-      (match old_env with
-      | Some e -> e
-      | None -> O.Env.make st.catalog old_config);
-    removed_indexes = Transform.removed_indexes old_config tr;
-    removed_views = Transform.removed_views tr;
-    view_merge;
+    old_env;
+    removed_indexes;
+    removed_views;
+    view_merge =
+      List.find_map
+        (function
+          | Transform.Merge_views (a, b) ->
+            Option.map (fun m -> (m, a, b)) (View.merge a b)
+          | _ -> None)
+        trs;
     cbv = cbv st;
-    expands = Transform.adds_structures tr;
+    expands = List.exists Transform.adds_structures trs;
   }
 
 (* Fixed width of one parallel (re-)optimization batch.  Deliberately
@@ -379,17 +368,24 @@ let eval_batch = 16
 (* cap on the ranked transformations kept per configuration *)
 let max_candidates_per_node = 256
 
-(** Evaluate a fresh configuration obtained by relaxing [parent] with [tr]:
-    re-optimize only the plans the relaxation affected; abort as soon as
-    the running total exceeds three times the best known cost (§3.5).  Plans
-    are (re-)optimized in fixed-width batches on the worker domains, then
-    folded sequentially in workload order, so the float accumulation and
-    the abort point do not depend on [opts.jobs]. *)
-let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
-    node option =
+(** Evaluate a fresh configuration obtained by relaxing [parent] with the
+    transformations [trs]: re-optimize only the plans the relaxation
+    affected; abort as soon as the running total exceeds three times the
+    best known cost (§3.5).  Plans are (re-)optimized in fixed-width
+    batches on the worker domains, then folded sequentially in workload
+    order, so the float accumulation and the abort point do not depend on
+    [opts.jobs]. *)
+let evaluate st ~(parent : node) ~(trs : Transform.t list) (config : Config.t)
+    : node option =
   (* the context's [Env.make] runs before any parallel work: it may
      register derived-view statistics in the shared catalog *)
-  let ctx = bound_context st ~old_config:parent.config ~new_config:config tr in
+  let ctx =
+    bound_context st
+      ~old_env:(O.Env.make st.catalog parent.config)
+      ~new_config:config
+      (removed_structures ~old_config:parent.config ~new_config:config)
+      trs
+  in
   let best_cost =
     match st.best with Some b -> b.cost | None -> infinity
   in
@@ -407,12 +403,13 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
        shrinks the plan space) and the patched plan achieves it, so the
        patched plan is optimal (free, exact);
      - the rest carry a genuine ΔT interval [lo, hi] with [hi] the
-       §3.3.2 patched-plan cost.  The budget goes to the widest weighted
-       intervals first — in practice the index-merge evaluations, whose
-       upper bounds drift an order of magnitude while removal bounds
-       track re-optimization within a percent — and only above a noise
-       floor relative to the parent's cost: paying to collapse a narrow
-       interval cannot move any later decision.
+       §3.3.2 patched-plan cost; their bound plan stands in unless the
+       budget pays for a re-optimization.  The budget goes to the widest
+       weighted intervals first — in practice the index-merge
+       evaluations, whose upper bounds drift an order of magnitude while
+       removal bounds track re-optimization within a percent — and only
+       above a noise floor relative to the parent's cost: paying to
+       collapse a narrow interval cannot move any later decision.
 
      The node gate: only a node that could become the incumbent best —
      it fits the space budget and the summed interval floor is below the
@@ -457,8 +454,7 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
             if parent_pseudo then advisory_lo ()
             else
               Float.max (advisory_lo ())
-                (Cost_bound.query_lower_bound ~order_by:q.Query.order_by ctx
-                   old_plan)
+                (Cost_bound.query_lower_bound ctx old_plan)
           in
           lo_total := !lo_total +. (w *. lo);
           match
@@ -481,22 +477,39 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
               hi_total := !hi_total +. (w *. p.O.Plan.cost);
               decisions.(slot) <- `Point p
             | _ ->
+              (* The bound plan: the cheaper of the §3.3.2 patched plan (a
+                 valid plan under [config] whose cost is the model's upper
+                 bound) and the query's base-configuration plan (valid
+                 under any configuration, pre-costed by the anchoring pass;
+                 the only fallback for an unpatchable removed or merged
+                 view).  Either way the stored plan is real, so
+                 affected-tests and bounds computed from it at later
+                 relaxations stay sound; it is merely suboptimal, which the
+                 [pseudo] marker records. *)
+              let bound_plan =
+                match
+                  ( patched,
+                    O.Whatif.find_cached st.whatif st.opts.base_config ~qid
+                      ~tables:q.Query.body.tables )
+                with
+                | Some p, Some (b : O.Plan.t) ->
+                  if b.cost < p.O.Plan.cost then b else p
+                | Some p, None -> p
+                | None, Some b -> b
+                | None, None ->
+                  (* unreachable in practice: the anchoring pass
+                     pre-optimized every select.  Degrade to the surviving
+                     plan — sound only as long as nothing relies on its
+                     accesses, hence last resort. *)
+                  old_plan
+              in
               let hi =
                 match patched with
                 | Some p -> p.O.Plan.cost
-                | None -> (
-                  (* unpatchable (removed or merged view): the universal
-                     fallback is the base-configuration plan, pre-costed
-                     by the anchoring pass *)
-                  match
-                    O.Whatif.find_cached st.whatif st.opts.base_config ~qid
-                      ~tables:q.Query.body.tables
-                  with
-                  | Some (b : O.Plan.t) -> b.cost
-                  | None -> old_plan.O.Plan.cost)
+                | None -> bound_plan.O.Plan.cost
               in
               hi_total := !hi_total +. (w *. hi);
-              decisions.(slot) <- `Bound patched;
+              decisions.(slot) <- `Bound bound_plan;
               widths := (slot, w *. (hi -. lo)) :: !widths)
         end)
       st.prepared.selects_arr;
@@ -535,83 +548,48 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     let base = ref 0 in
     while !base < nsel do
       let len = Int.min eval_batch (nsel - !base) in
-      (* Consume the upfront classification — still sequentially on
-         the main domain; the ledger is debited per batch, so a
-         shortcut abort returns the calls later batches never made
-         back to the pool (dynamic reallocation). *)
-      let work =
-        Array.init len (fun k ->
-            let slot = !base + k in
-            let qid, w, q = st.prepared.selects_arr.(slot) in
-            (slot, qid, w, q, parent.plans.(slot)))
-      in
+      (* The ledger is debited per batch, on the main domain, for exactly
+         the optimizer calls the batch executes, so a shortcut abort
+         returns the calls later batches never made to the pool (dynamic
+         reallocation). *)
       Option.iter
         (fun ledger ->
-          for k = 0 to len - 1 do
-            match decisions.(!base + k) with
-            | `Reoptimize ->
-              (* reserve exactly the one optimizer call the worker below
-                 will execute *)
-              Frugal.debit ledger 1
+          for slot = !base to !base + len - 1 do
+            match decisions.(slot) with
+            | `Reoptimize -> Frugal.debit ledger 1
             | _ -> ()
           done)
         st.frugal;
       let scored =
         Pool.map_array st.pool
-          (fun (slot, qid, w, q, old_plan) ->
+          (fun slot ->
             match decisions.(slot) with
-            | `Patch -> (slot, w, `Patched, old_plan)
-            | `Cached p -> (slot, w, `Reoptimized, p)
-            | `Point p -> (slot, w, `Point_exact, p)
             | `Reoptimize ->
-              (slot, w, `Reoptimized,
-               O.Whatif.plan_select st.whatif config ~qid q)
-            | `Bound patched ->
-              (* No call: the upfront pass materialized the §3.3.2
-                 patched plan — a valid plan under [config] whose cost
-                 is the model's upper bound.  Keep the cheaper of it
-                 and the query's base-configuration plan (valid under
-                 any configuration).  Either way the stored plan is
-                 real, so affected-tests and bounds computed from it at
-                 later relaxations stay sound; it is merely
-                 suboptimal, which the [pseudo] marker records. *)
-              let base =
-                O.Whatif.find_cached st.whatif st.opts.base_config ~qid
-                  ~tables:q.Query.body.tables
-              in
-              let plan =
-                match (patched, base) with
-                | Some p, Some (b : O.Plan.t) ->
-                  if b.cost < p.O.Plan.cost then b else p
-                | Some p, None -> p
-                | None, Some b -> b
-                | None, None ->
-                  (* unreachable in practice: the base-configuration
-                     pass pre-optimized every select.  Degrade to the
-                     surviving plan — sound only as long as nothing
-                     relies on its accesses, hence last resort. *)
-                  old_plan
-              in
-              (slot, w, `Bound_costed, plan))
-          work
+              let qid, _, q = st.prepared.selects_arr.(slot) in
+              O.Whatif.plan_select st.whatif config ~qid q
+            | `Patch -> parent.plans.(slot)
+            | `Cached p | `Point p | `Bound p -> p)
+          (Array.init len (fun k -> !base + k))
       in
-      Array.iter
-        (fun (slot, w, how, (plan : O.Plan.t)) ->
-          (match how with
-          | `Reoptimized -> Obs.Probe.plan_reoptimized ()
-          | `Patched ->
+      Array.iteri
+        (fun k (plan : O.Plan.t) ->
+          let slot = !base + k in
+          (match decisions.(slot) with
+          | `Reoptimize | `Cached _ -> Obs.Probe.plan_reoptimized ()
+          | `Patch ->
             Obs.Probe.plan_patched ();
             (* a surviving plan inherits its pseudo status *)
             if Bitset.mem parent.pseudo slot then Bitset.add pseudo slot
-          | `Point_exact ->
+          | `Point _ ->
             (* an exact cost obtained without a call: the patched plan
                provably achieves the removal's lower bound *)
             Obs.Probe.plan_patched ();
             Obs.Probe.count "whatif.point_exact"
-          | `Bound_costed ->
+          | `Bound _ ->
             Obs.Probe.plan_patched ();
             Obs.Probe.count "whatif.bound_costed";
             Bitset.add pseudo slot);
+          let _, w, _ = st.prepared.selects_arr.(slot) in
           total := !total +. (w *. plan.cost);
           (* §3.5 shortcut evaluation *)
           if !total > best_cost *. 3.0 then raise Shortcut;
@@ -664,12 +642,10 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
         cost = !total;
         size;
         parent = Some parent.id;
-        via = Some tr;
         actual_penalty;
         pseudo;
         untried = [];
         candidates_ready = false;
-        pruned = false;
       }
     in
     st.next_id <- st.next_id + 1;
@@ -732,13 +708,12 @@ let rank_candidates st (n : node) : candidate list =
   (* index which queries (by slot) use which structures, so each
      transformation only touches the plans it actually affects *)
   let usage : (string, (int * float) list) Hashtbl.t = Hashtbl.create 64 in
-  let usage_seen : (string * int, unit) Hashtbl.t = Hashtbl.create 256 in
   let add_usage name slot w =
-    if not (Hashtbl.mem usage_seen (name, slot)) then begin
-      Hashtbl.add usage_seen (name, slot) ();
-      let l = Option.value ~default:[] (Hashtbl.find_opt usage name) in
-      Hashtbl.replace usage name ((slot, w) :: l)
-    end
+    (* slots are visited in increasing order: a repeat can only be the
+       head of the name's list *)
+    match Hashtbl.find_opt usage name with
+    | Some ((s, _) :: _) when s = slot -> ()
+    | l -> Hashtbl.replace usage name ((slot, w) :: Option.value ~default:[] l)
   in
   Array.iteri
     (fun slot (_, w, _) ->
@@ -751,10 +726,9 @@ let rank_candidates st (n : node) : candidate list =
           if Config.find_view n.config a.rel <> None then add_usage a.rel slot w)
         n.plans.(slot))
     st.prepared.selects_arr;
-  let affected_queries tr =
+  let affected_queries (removed_indexes, removed_views) =
     let names =
-      List.map Index.name (Transform.removed_indexes n.config tr)
-      @ List.map View.name (Transform.removed_views tr)
+      List.map Index.name removed_indexes @ List.map View.name removed_views
     in
     (* slots sort in workload order, a total order: dedup is exact *)
     List.sort_uniq compare
@@ -774,20 +748,22 @@ let rank_candidates st (n : node) : candidate list =
         with
         | None -> None
         | Some config' ->
-          let affected = affected_queries tr in
+          let removed =
+            removed_structures ~old_config:n.config ~new_config:config'
+          in
+          let affected = affected_queries removed in
           let ctx =
             if affected = [] then None
             else
               Some
-                (bound_context ~old_env st ~old_config:n.config
-                   ~new_config:config' tr)
+                (bound_context st ~old_env ~new_config:config' removed [ tr ])
           in
           (match ctx with
           | None when st.prepared.dmls <> [] ->
             (* the parallel shell costing below needs this environment *)
             ignore (O.Env.make st.catalog config')
           | _ -> ());
-          Some (tr, config', affected, ctx))
+          Some (tr, config', fst removed, affected, ctx))
       transforms
   in
   let order_by_of slot =
@@ -799,50 +775,49 @@ let rank_candidates st (n : node) : candidate list =
     Cost_bound.query_bound ~order_by:(order_by_of slot)
       ~best_cost:(Bound_memo.best_cost st.bound_memo) ctx plan
   in
-  let lower ctx slot plan =
-    Cost_bound.query_lower_bound ~order_by:(order_by_of slot) ctx plan
-  in
-  (* The ΔT fold: add [w * (cost' - cost)] over the affected queries whose
-     plan the relaxation touches, for the ([lo], [hi]) pair of costs under
-     C' that [costs slot plan] gives. *)
-  let delta_fold ctx affected ~init costs =
+  (* The ΔT fold: add [w * (cost' - cost)] over the affected queries, for
+     the ([lo], [hi]) pair of costs under C' that [costs slot plan] gives.
+     [affected] comes from the usage index, so every slot in it uses a
+     removed structure. *)
+  let delta_fold affected ~init costs =
     List.fold_left
-      (fun ((lo, hi) as acc) (slot, w) ->
+      (fun (lo, hi) (slot, w) ->
         let plan = n.plans.(slot) in
-        if Cost_bound.plan_affected ctx plan then begin
-          let lo', hi' = costs slot plan in
-          ( lo +. (w *. (lo' -. plan.O.Plan.cost)),
-            hi +. (w *. (hi' -. plan.O.Plan.cost)) )
-        end
-        else acc)
+        let lo', hi' = costs slot plan in
+        ( lo +. (w *. (lo' -. plan.O.Plan.cost)),
+          hi +. (w *. (hi' -. plan.O.Plan.cost)) ))
       init affected
   in
   (* Phase 2, parallel: score each applied transformation — incremental
      size (only the structures that changed are re-measured; heaps are
      cheap cached lookups), §3.3.2 cost upper bound (and, in frugal mode,
      the matching lower bound), update-shell delta.  Everything here reads
-     shared state through locks ([size_cache], [cbv_cache], the catalog
-     memos pre-filled in phase 1). *)
-  let score (tr, config', affected, ctx) =
-    let removed =
-      Index.Set.diff (Config.index_set n.config) (Config.index_set config')
-    in
+     shared state through locks ([cbv_cache], the catalog memos pre-filled
+     in phase 1). *)
+  let score (tr, config', removed, affected, ctx) =
     let added =
       Index.Set.diff (Config.index_set config') (Config.index_set n.config)
     in
     let size' =
       n.size -. heap_bytes st n.config +. heap_bytes st config'
-      -. Index.Set.fold (fun i a -> a +. index_size st n.config i) removed 0.0
-      +. Index.Set.fold (fun i a -> a +. index_size st config' i) added 0.0
+      -. List.fold_left
+           (fun a i -> a +. Config.index_bytes st.catalog n.config i)
+           0.0 removed
+      +. Index.Set.fold
+           (fun i a -> a +. Config.index_bytes st.catalog config' i)
+           added 0.0
     in
     let delta_space = n.size -. size' in
     let delta_selects_lo, delta_selects =
       match ctx with
       | None -> (0.0, 0.0)
       | Some ctx ->
-        delta_fold ctx affected ~init:(0.0, 0.0) (fun slot plan ->
+        delta_fold affected ~init:(0.0, 0.0) (fun slot plan ->
             let hi = upper ctx slot plan in
-            ((if frugal_on then lower ctx slot plan else hi), hi))
+            let lo =
+              if frugal_on then Cost_bound.query_lower_bound ctx plan else hi
+            in
+            (lo, hi))
     in
     let delta_shell =
       if st.prepared.dmls = [] then 0.0
@@ -933,9 +908,9 @@ let rank_candidates st (n : node) : candidate list =
       let _, (config', affected, ctx, delta_shell) = fc.Frugal.payload in
       match ctx with
       | None -> ()
-      | Some ctx ->
+      | Some _ ->
         let lo, _ =
-          delta_fold ctx affected ~init:(delta_shell, delta_shell)
+          delta_fold affected ~init:(delta_shell, delta_shell)
             (fun slot _ ->
               let qid, _, _ = st.prepared.selects_arr.(slot) in
               let alo, _ =
@@ -958,7 +933,7 @@ let rank_candidates st (n : node) : candidate list =
       | None -> ()
       | Some ctx ->
         let lo, hi =
-          delta_fold ctx affected ~init:(delta_shell, delta_shell)
+          delta_fold affected ~init:(delta_shell, delta_shell)
             (fun slot plan ->
               if Frugal.rank_remaining ledger > 0 then begin
                 let qid, _, sq = st.prepared.selects_arr.(slot) in
@@ -968,7 +943,7 @@ let rank_candidates st (n : node) : candidate list =
                   (fst (O.Whatif.stats st.whatif) - calls_before);
                 (plan'.O.Plan.cost, plan'.O.Plan.cost)
               end
-              else (lower ctx slot plan, upper ctx slot plan))
+              else (Cost_bound.query_lower_bound ctx plan, upper ctx slot plan))
         in
         fc.Frugal.ival <-
           Frugal.tighten_with { Frugal.lo; hi } ~advisory:fc.Frugal.ival
@@ -1001,13 +976,13 @@ let ensure_candidates st n =
 
 let has_untried st n =
   ensure_candidates st n;
-  (not n.pruned) && n.untried <> []
+  n.untried <> []
 
 (* count without forcing lazy candidate computation *)
 let untried_ready_count st =
   List.fold_left
     (fun acc n ->
-      if n.candidates_ready && not n.pruned then acc + List.length n.untried
+      if n.candidates_ready then acc + List.length n.untried
       else acc)
     0 st.nodes
 
@@ -1088,8 +1063,9 @@ let pick_candidate st (c : node) : candidate option =
     Some chosen
 
 (* §3.5 variant: greedily pile further candidates of the same node onto a
-   partially-relaxed configuration.  Conflicting transformations (ones whose
-   structures are already gone) simply fail to apply and are skipped. *)
+   partially-relaxed configuration; returns it with the transformations
+   piled on.  Conflicting transformations (ones whose structures are
+   already gone) simply fail to apply and are skipped. *)
 let extend_with_transforms st (c : node) config k =
   let applied = ref [] in
   let config = ref config in
@@ -1108,7 +1084,7 @@ let extend_with_transforms st (c : node) config k =
   in
   go c.untried k;
   c.untried <- List.filter (fun x -> not (List.memq x !applied)) c.untried;
-  !config
+  (!config, List.rev_map (fun cand -> cand.tr) !applied)
 
 (* ------------------------------------------------------------------ *)
 (* the main loop (Figure 5)                                            *)
@@ -1124,8 +1100,6 @@ type outcome = {
           found: the tuner's anytime behaviour *)
   iterations : int;
   candidates_per_iteration : int list;
-  optimizer_calls : int;
-  cache_hits : int;
   whatif : O.Whatif.t;
       (** the search's what-if interface, cache warm with every plan the
           run optimized — reusing it to re-cost the recommended
@@ -1184,8 +1158,6 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
   let whatif =
     match opts.whatif with Some w -> w | None -> O.Whatif.create catalog
   in
-  (* a reused interface arrives with history; report this run's deltas *)
-  let calls0, hits0 = O.Whatif.stats whatif in
   let prepared = prepare workload in
   let pool = Pool.create ~jobs:opts.jobs in
   Fun.protect
@@ -1218,8 +1190,6 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       seen = Hashtbl.create 64;
       cbv_lock = Mutex.create ();
       cbv_cache = Hashtbl.create 16;
-      size_lock = Mutex.create ();
-      size_cache = Hashtbl.create 256;
       heaps = base_heaps catalog;
       bound_memo = Bound_memo.create ();
       frugal = Option.map (fun budget -> Frugal.create ~budget) opts.whatif_budget;
@@ -1250,46 +1220,38 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
          (fun (qid, _, q) ->
            O.Whatif.plan_select whatif opts.base_config ~qid q)
          prepared.selects_arr));
-  (* a parentless pool node evaluated from scratch, in batches on the
-     worker domains, folding costs sequentially in workload order (the
-     root and the warm-start seed) *)
+  (* a parentless pool node evaluated from scratch (the root and the
+     warm-start seed): one parallel map over every select, costs folded
+     sequentially in workload order.  It never aborts, so it needs no
+     batches. *)
   let scratch_node config =
     let shell = shell_cost_of st config in
+    let plans =
+      Pool.map_array pool
+        (fun (qid, _, q) -> O.Whatif.plan_select whatif config ~qid q)
+        prepared.selects_arr
+    in
     let total = ref 0.0 in
-    let batches = ref [] in
-    let base = ref 0 in
-    while !base < nsel do
-      let len = Int.min eval_batch (nsel - !base) in
-      let scored =
-        Pool.map_array pool
-          (fun (qid, _, q) -> O.Whatif.plan_select whatif config ~qid q)
-          (Array.sub prepared.selects_arr !base len)
-      in
-      Array.iteri
-        (fun k (plan : O.Plan.t) ->
-          let _, w, _ = prepared.selects_arr.(!base + k) in
-          total := !total +. (w *. plan.cost))
-        scored;
-      batches := scored :: !batches;
-      base := !base + len
-    done;
+    Array.iteri
+      (fun slot (plan : O.Plan.t) ->
+        let _, w, _ = prepared.selects_arr.(slot) in
+        total := !total +. (w *. plan.cost))
+      plans;
     let node =
       {
         id = st.next_id;
         config;
-        plans = Array.concat (List.rev !batches);
+        plans;
         slots = prepared.slots;
         select_cost = !total;
         shell_cost = shell;
         cost = !total +. shell;
         size = config_size st config;
         parent = None;
-        via = None;
         actual_penalty = 0.0;
         pseudo = Bitset.create nsel;
         untried = [];
         candidates_ready = false;
-        pruned = false;
       }
     in
     st.next_id <- st.next_id + 1;
@@ -1356,10 +1318,11 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
              | Some config' -> (
                (* §3.5 variant: pile up to k−1 further non-conflicting
                   transformations before evaluating *)
-               let config' =
-                 if opts.transforms_per_iteration <= 1 then config'
-                 else extend_with_transforms st c config'
-                        (opts.transforms_per_iteration - 1)
+               let config', more =
+                 if opts.transforms_per_iteration <= 1 then (config', [])
+                 else
+                   extend_with_transforms st c config'
+                     (opts.transforms_per_iteration - 1)
                in
                Obs.Probe.transform_applied ~kind:(Transform.kind cand.tr);
                let fp = Config.fingerprint config' in
@@ -1368,7 +1331,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
                  Hashtbl.replace st.seen fp ();
                  match
                    Obs.Probe.span "search.evaluate" (fun () ->
-                       evaluate st ~parent:c ~tr:cand.tr config')
+                       evaluate st ~parent:c ~trs:(cand.tr :: more) config')
                  with
                  | None -> ("shortcut", None) (* shortcut-pruned *)
                  | Some node ->
@@ -1516,8 +1479,6 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
         st.best <- Some n;
         if changed then best_trace := (st.iterations, n.cost) :: !best_trace
     end);
-  let calls, hits = O.Whatif.stats whatif in
-  let calls = calls - calls0 and hits = hits - hits0 in
   {
     initial = root;
     best = st.best;
@@ -1526,7 +1487,5 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
     best_trace = List.rev !best_trace;
     iterations = st.iterations;
     candidates_per_iteration = List.rev st.candidates_trace;
-    optimizer_calls = calls;
-    cache_hits = hits;
     whatif;
   }

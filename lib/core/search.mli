@@ -71,7 +71,11 @@ type options = {
           never transformed *)
   max_iterations : int;
   time_budget_s : float option;
-  transforms_per_iteration : int;  (** §3.5 variant; paper default 1 *)
+  transforms_per_iteration : int;
+      (** §3.5 variant; paper default 1.  A step that piles up several
+          transformations re-optimizes every plan that any of them
+          affected: the removed structures are read off the configuration
+          pair (C, C′), not off the first transformation. *)
   shrink_configurations : bool;  (** §3.5 variant; default off *)
   selection : selection;  (** {!Penalty} is the paper's *)
   jobs : int;
@@ -98,8 +102,7 @@ type options = {
   whatif : O.Whatif.t option;
       (** an existing what-if interface to run against instead of a fresh
           one, sharing its plan cache and advisory bound store across
-          runs; [outcome.optimizer_calls]/[cache_hits] still report this
-          run's deltas.  [None] (default): a private interface. *)
+          runs.  [None] (default): a private interface. *)
   on_iteration : (iteration_report -> unit) option;
       (** invoked once per iteration, after evaluation and trace emission,
           from the main domain (never from workers).  Used by the
@@ -137,14 +140,12 @@ type node = {
   cost : float;
   size : float;
   parent : int option;
-  via : Transform.t option;
   actual_penalty : float;
   pseudo : Bitset.t;
       (** frugal runs only: the select slots whose plan carries a
           bound-substituted (not re-optimized) cost; empty on exact runs *)
   mutable untried : candidate list;
   mutable candidates_ready : bool;
-  mutable pruned : bool;
 }
 
 (** Workload split into optimizable selects (including update select
@@ -180,9 +181,6 @@ type outcome = {
           found: the tuner's anytime behaviour *)
   iterations : int;
   candidates_per_iteration : int list;  (** Figure 6 series *)
-  optimizer_calls : int;  (** this run's calls (deltas under a shared
-                              what-if interface) *)
-  cache_hits : int;
   whatif : O.Whatif.t;
       (** the search's what-if interface, cache warm with every plan the
           run optimized; callers can re-cost configurations explored by

@@ -168,10 +168,7 @@ let prop_interval_sound_tpch =
             let hi =
               T.Cost_bound.query_bound ~order_by:sq.Query.order_by ctx plan
             in
-            let lo =
-              T.Cost_bound.query_lower_bound ~order_by:sq.Query.order_by ctx
-                plan
-            in
+            let lo = T.Cost_bound.query_lower_bound ctx plan in
             let actual =
               (O.Whatif.plan_select whatif config' ~qid sq).O.Plan.cost
             in

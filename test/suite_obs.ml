@@ -335,7 +335,7 @@ let test_trace_counts_match_metrics () =
 
 let test_metrics_match_legacy_stats () =
   (* the structured metrics must agree with the what-if layer's own
-     counters, which Search.outcome still carries *)
+     counters *)
   let cat = Lazy.force cat in
   let w = small_workload () in
   let inst = T.Instrument.optimal_configuration cat ~base:Config.empty w in
@@ -349,9 +349,9 @@ let test_metrics_match_legacy_stats () =
   let obs = Obs.Recorder.create () in
   let outcome = T.Search.run ~obs cat ~workload:w ~initial:inst.optimal opts in
   let m = Obs.Recorder.snapshot obs in
-  Alcotest.(check int)
-    "what-if calls agree" outcome.optimizer_calls m.what_if_calls;
-  Alcotest.(check int) "cache hits agree" outcome.cache_hits m.cache_hits;
+  let calls, hits = O.Whatif.stats outcome.whatif in
+  Alcotest.(check int) "what-if calls agree" calls m.what_if_calls;
+  Alcotest.(check int) "cache hits agree" hits m.cache_hits;
   Alcotest.(check int) "iterations agree" outcome.iterations m.iterations;
   Alcotest.(check int)
     "pool trace covers every iteration" outcome.iterations

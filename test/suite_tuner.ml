@@ -362,10 +362,33 @@ let tune_with ?(budget = mb 9.0) patch w =
   T.Tuner.tune cat (workload_of_strings w)
     (patch { opts with max_iterations = 80 })
 
+(* §3.5: a step piling up several transformations must re-cost every plan
+   any of them affected, so the reported cost is that of the configuration
+   actually recommended, with and without shrinking *)
 let test_variant_multi_transform () =
-  let r = tune_with (fun o -> { o with transforms_per_iteration = 3 }) small_workload in
-  Alcotest.(check bool) "fits" true (r.recommended_size <= mb 9.0);
-  Alcotest.(check bool) "improves" true (r.improvement > 0.0)
+  let cat = Lazy.force cat in
+  List.iter
+    (fun shrink ->
+      let r =
+        tune_with
+          (fun o ->
+            {
+              o with
+              transforms_per_iteration = 3;
+              shrink_configurations = shrink;
+            })
+          small_workload
+      in
+      Alcotest.(check bool) "fits" true (r.recommended_size <= mb 9.0);
+      Alcotest.(check bool) "improves" true (r.improvement > 0.0);
+      let w = workload_of_strings small_workload in
+      let actual = T.Tuner.workload_cost cat r.recommended w in
+      Alcotest.(check bool)
+        (Printf.sprintf "what-if cost %.2f <= reported %.2f" actual
+           r.recommended_cost)
+        true
+        (T.Cost_bound.float_leq actual r.recommended_cost))
+    [ false; true ]
 
 let test_variant_shrink () =
   let r = tune_with (fun o -> { o with shrink_configurations = true }) small_workload in
