@@ -22,16 +22,8 @@ end
 module Index_key = Hashed (struct
   type t = Index.t
 
-  (* configurations share their index values, so most probes hit [==] *)
-  let equal a b = a == b || Index.equal a b
-
-  (* the suffix is a set, a tree whose shape depends on insertion order:
-     hash its elements in order, not its tree *)
-  let hash (i : Index.t) =
-    Relax_sql.Types.Column_set.fold
-      (fun c h -> (h * 31) + Hashtbl.hash c)
-      i.suffix
-      (Hashtbl.hash (i.keys, i.clustered))
+  let equal = Index.equal
+  let hash = Index.hash
 end)
 
 module Request_key = Hashed (O.Request)

@@ -243,6 +243,7 @@ type state = {
   heaps : (string * float) list;
       (** heap bytes of every base table, in catalog order *)
   bound_memo : Bound_memo.t;  (** §3.3.2 access re-costing memo *)
+  charges : O.Update_cost.Charges.t;  (** §3.6 update-shell charges *)
   frugal : Frugal.t option;
       (** the what-if call ledger; [Some] iff [opts.whatif_budget] is *)
   rand : Random.State.t;  (** only consulted by the [Random] selection *)
@@ -294,14 +295,11 @@ let config_size st config =
     (fun acc i -> acc +. Config.index_bytes st.catalog config i)
     (heap_bytes st config) (Config.indexes config)
 
+(* Σ w · shell cost over the workload's DMLs, off the charge table.  Fills
+   the table, so only the main domain calls it. *)
 let shell_cost_of st config =
-  if st.prepared.dmls = [] then 0.0
-  else begin
-    let env = O.Env.make st.catalog config in
-    List.fold_left
-      (fun acc (w, d) -> acc +. (w *. O.Update_cost.shell_cost env config d))
-      0.0 st.prepared.dmls
-  end
+  O.Update_cost.Charges.fill st.charges config;
+  O.Update_cost.Charges.total st.charges config
 
 (* CBV: cost of computing a view from scratch under the base configuration.
    The lock is held across the optimize so concurrent callers never
@@ -736,10 +734,11 @@ let rank_candidates st (n : node) : candidate list =
          (fun name -> Option.value ~default:[] (Hashtbl.find_opt usage name))
          names)
   in
-  (* Phase 1, sequential: apply each transformation and build its costing
-     context.  [Env.make] may register derived-view statistics in the
-     shared catalog, so every environment the workers will read is created
-     here, before the parallel phase. *)
+  (* Phase 1, sequential: apply each transformation, build its costing
+     context and price its new structures' update-shell charges.
+     [Env.make] may register derived-view statistics in the shared
+     catalog, and the charge table is written here, so the workers below
+     only read both. *)
   let applied =
     List.filter_map
       (fun tr ->
@@ -758,11 +757,7 @@ let rank_candidates st (n : node) : candidate list =
               Some
                 (bound_context st ~old_env ~new_config:config' removed [ tr ])
           in
-          (match ctx with
-          | None when st.prepared.dmls <> [] ->
-            (* the parallel shell costing below needs this environment *)
-            ignore (O.Env.make st.catalog config')
-          | _ -> ());
+          O.Update_cost.Charges.fill ~since:n.config st.charges config';
           Some (tr, config', fst removed, affected, ctx))
       transforms
   in
@@ -792,8 +787,8 @@ let rank_candidates st (n : node) : candidate list =
      size (only the structures that changed are re-measured; heaps are
      cheap cached lookups), §3.3.2 cost upper bound (and, in frugal mode,
      the matching lower bound), update-shell delta.  Everything here reads
-     shared state through locks ([cbv_cache], the catalog memos pre-filled
-     in phase 1). *)
+     shared state through locks ([cbv_cache]) or reads only what phase 1
+     filled (the catalog memos, the charge table). *)
   let score (tr, config', removed, affected, ctx) =
     let added =
       Index.Set.diff (Config.index_set config') (Config.index_set n.config)
@@ -820,8 +815,7 @@ let rank_candidates st (n : node) : candidate list =
             (lo, hi))
     in
     let delta_shell =
-      if st.prepared.dmls = [] then 0.0
-      else shell_cost_of st config' -. n.shell_cost
+      O.Update_cost.Charges.total st.charges config' -. n.shell_cost
     in
     let delta_cost = delta_selects +. delta_shell in
     let delta_cost_lo =
@@ -1192,6 +1186,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       cbv_cache = Hashtbl.create 16;
       heaps = base_heaps catalog;
       bound_memo = Bound_memo.create ();
+      charges = O.Update_cost.Charges.create catalog prepared.dmls;
       frugal = Option.map (fun budget -> Frugal.create ~budget) opts.whatif_budget;
       rand =
         Random.State.make

@@ -51,15 +51,27 @@ let on table ?(clustered = false) ?(suffix = []) keys =
 let columns t =
   List.fold_left (fun acc c -> Column_set.add c acc) t.suffix t.keys
 
+(* configurations share their index values, so set operations across
+   them mostly compare an index with itself *)
 let compare a b =
-  match List.compare Column.compare a.keys b.keys with
-  | 0 -> (
-    match Column_set.compare a.suffix b.suffix with
-    | 0 -> Bool.compare a.clustered b.clustered
-    | c -> c)
-  | c -> c
+  if a == b then 0
+  else
+    match List.compare Column.compare a.keys b.keys with
+    | 0 -> (
+      match Column_set.compare a.suffix b.suffix with
+      | 0 -> Bool.compare a.clustered b.clustered
+      | c -> c)
+    | c -> c
 
 let equal a b = compare a b = 0
+
+(* the suffix is a set, a tree whose shape depends on insertion order:
+   hash its elements in order, not its tree *)
+let hash t =
+  Column_set.fold
+    (fun c h -> (h * 31) + Hashtbl.hash c)
+    t.suffix
+    ((Hashtbl.hash t.keys * 2) + Bool.to_int t.clustered)
 
 let name t =
   Fmt.str "%s[%s](%s%s%s)"

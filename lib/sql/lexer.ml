@@ -102,7 +102,10 @@ let lex_number st =
   in
   let s = String.sub st.src start (st.pos - start) in
   if fraction || exponent then FLOAT (float_of_string s)
-  else INT (int_of_string s)
+  else
+    match int_of_string_opt s with
+    | Some n -> INT n
+    | None -> raise (Lex_error ("integer literal out of range", start))
 
 let lex_string st =
   advance st;

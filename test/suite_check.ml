@@ -287,6 +287,128 @@ let test_bound_memo_key_exact () =
     (Int64.bits_of_float (O.Access_path.best plain desc).O.Plan.cost)
     (Int64.bits_of_float (T.Bound_memo.best_cost memo plain desc))
 
+(* --- the ranking's update-shell charge table (Update_cost.Charges) ---------- *)
+
+(* Selects that make the instrumented optimum hold indexes on every table
+   and aggregate views over r, and DMLs that touch both: an insert big
+   enough that a view index's charge depends on the view's row estimate. *)
+let shell_fixture =
+  lazy
+    (let cat = Fixtures.small_catalog () in
+     let entry (qid, weight, sql) =
+       { Query.qid; weight; stmt = Relax_sql.Parser.statement sql }
+     in
+     let w =
+       List.map entry
+         [
+           ("q1", 1.0, "SELECT r.d, SUM(r.a) FROM r WHERE r.b < 20 GROUP BY r.d");
+           ( "q2", 2.0,
+             "SELECT r.tid, COUNT(*) FROM r, t WHERE r.tid = t.id AND t.z < 5 \
+              GROUP BY r.tid" );
+           ("q3", 1.5, "SELECT r.a, r.cc FROM r WHERE r.a < 100 ORDER BY r.cc");
+           ("q4", 1.0, "SELECT r.sid, r.e FROM r WHERE r.sid = 7");
+           ("q5", 1.0, "SELECT s.x, s.y FROM s WHERE s.x < 50");
+           ("u1", 0.7, "UPDATE r SET b = b + 1 WHERE a < 10");
+           ("u2", 0.3, "INSERT INTO r ROWS 50000");
+           ("u3", 1.2, "DELETE FROM s WHERE x < 100");
+           ("u4", 2.5, "UPDATE r SET d = d + 1 WHERE cc < 500");
+         ]
+     in
+     let inst = T.Instrument.optimal_configuration cat ~base:Config.empty w in
+     let dmls = (T.Search.prepare w).dmls in
+     let est v =
+       O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
+     in
+     let dml_tables = List.map (fun (_, d) -> Query.dml_table d) dmls in
+     (* the relaxation classes the table must price: 0 = index removal or
+        merge, 1 = view removal or merge, 2 = clustered promotion on a
+        DML's table *)
+     let cls : T.Transform.t -> int option = function
+       | Remove_index _ | Merge_indexes _ -> Some 0
+       | Remove_view _ | Merge_views _ -> Some 1
+       | Promote_clustered i when List.mem (Index.owner i) dml_tables -> Some 2
+       | _ -> None
+     in
+     let classes =
+       Array.init 3 (fun k ->
+           Array.of_list
+             (List.filter_map
+                (fun tr ->
+                  if cls tr <> Some k then None
+                  else T.Transform.apply ~estimate_rows:est inst.optimal tr)
+                (T.Transform.enumerate inst.optimal)))
+     in
+     (cat, dmls, est, inst.optimal, classes))
+
+(* the reference: the whole shell rebuilt from an environment *)
+let direct_shell cat dmls config =
+  let env = O.Env.make cat config in
+  List.fold_left
+    (fun acc (w, d) -> acc +. (w *. O.Update_cost.shell_cost env config d))
+    0.0 dmls
+
+(* every view's row estimate scaled by [f]: the same indexes under other
+   view rows, which an inexact key would price as before *)
+let rescale_views f config =
+  List.fold_left
+    (fun c (v, rows) -> Config.add_view c v ~rows:(rows *. f))
+    config
+    (Config.views_with_rows config)
+
+(* one table across every case, filled the way the search fills it: the
+   optimum in full, then each step since its parent — so entries priced
+   under one relaxation are read back under others *)
+let shared_charges =
+  lazy
+    (let cat, dmls, _, optimal, _ = Lazy.force shell_fixture in
+     let t = O.Update_cost.Charges.create cat dmls in
+     O.Update_cost.Charges.fill t optimal;
+     t)
+
+let prop_charges_bit_identical =
+  QCheck.Test.make
+    ~name:"charge table total = direct shell cost, bit for bit" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_bound 2) (int_bound 10_000)
+           (list_size (int_range 0 3) (int_bound 10_000))
+           (oneofl [ 1.0; 0.5; 3.0 ])))
+    (fun (k, first, picks, f) ->
+      let cat, dmls, est, optimal, classes = Lazy.force shell_fixture in
+      let t = Lazy.force shared_charges in
+      let cases = classes.(k) in
+      QCheck.assume (Array.length cases > 0);
+      let step parent config =
+        O.Update_cost.Charges.fill ~since:parent t config;
+        Int64.equal
+          (Int64.bits_of_float (direct_shell cat dmls config))
+          (Int64.bits_of_float (O.Update_cost.Charges.total t config))
+      in
+      let rec go parent = function
+        | [] ->
+          f = 1.0 || step parent (rescale_views f parent)
+        | pick :: rest -> (
+          match T.Transform.enumerate parent with
+          | [] -> go parent []
+          | trs -> (
+            let tr = List.nth trs (pick mod List.length trs) in
+            match T.Transform.apply ~estimate_rows:est parent tr with
+            | None -> go parent rest
+            | Some config -> step parent config && go config rest))
+      in
+      let config = cases.(first mod Array.length cases) in
+      step optimal config && go config picks)
+
+let test_charges_classes_covered () =
+  let _, _, _, _, classes = Lazy.force shell_fixture in
+  Array.iteri
+    (fun k cases ->
+      Alcotest.(check bool)
+        (Printf.sprintf "relaxation class %d is non-empty" k)
+        true
+        (Array.length cases > 0))
+    classes
+
 (* --- structural invariants under random transformation sequences ----------- *)
 
 let prop_transforms_preserve_invariants =
@@ -583,6 +705,9 @@ let suite =
       test_bound_memo_covers_view_contexts;
     Alcotest.test_case "bound memo: key is exact" `Quick
       test_bound_memo_key_exact;
+    QCheck_alcotest.to_alcotest prop_charges_bit_identical;
+    Alcotest.test_case "charge table: relaxation classes covered" `Quick
+      test_charges_classes_covered;
     Alcotest.test_case "invariants: double clustered" `Quick
       test_invariants_catch_double_clustered;
     Alcotest.test_case "invariants: unknown column" `Quick

@@ -226,6 +226,75 @@ let test_stream_roundtrip_exponents () =
       ("UPDATE r SET a = 0.000002 WHERE r.b < 25000000.0", "2e-06");
     ]
 
+(* An integer literal past [max_int] is a lex error at its position, not a
+   [Failure] escaping the stream: the daemon counts the line as malformed
+   and keeps running. *)
+let oversized_literal_line =
+  {|{"sql":"SELECT lineitem.l_quantity FROM lineitem WHERE lineitem.l_quantity <= 99999999999999999999999"}|}
+
+let test_stream_oversized_literal () =
+  (match D.Stream.parse_line oversized_literal_line with
+  | Ok _ -> Alcotest.fail "parsed an out-of-range literal"
+  | Error reason ->
+    Alcotest.(check bool)
+      ("a lex error with its position: " ^ reason)
+      true
+      (Astring_contains.contains reason "SQL lex error at 70"));
+  let path = Filename.temp_file "relax-stream" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (oversized_literal_line ^ "\n"));
+  let d =
+    D.Daemon.create (Lazy.force cat)
+      (D.Daemon.default_options ~space_budget:infinity ())
+  in
+  In_channel.with_open_text path (fun ic ->
+      Seq.iter
+        (fun ev -> ignore (D.Daemon.ingest_event d ev))
+        (D.Stream.events ic));
+  Alcotest.(check int) "counted as malformed" 1 (D.Daemon.malformed d);
+  Alcotest.(check int) "no statement ingested" 0 (D.Daemon.statements_seen d)
+
+(* [parse_line] is total: whatever the bytes, it answers [Ok] or [Error]. *)
+let parses_or_rejects line =
+  match D.Stream.parse_line line with
+  | Ok _ | Error _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "%S raised %s" line (Printexc.to_string e)
+
+let sql_line sql = Relax_obs.Json.(to_string (Obj [ ("sql", String sql) ]))
+
+let prop_stream_total_on_bytes =
+  QCheck.Test.make ~name:"stream: parse_line total on arbitrary bytes"
+    ~count:1000
+    QCheck.(pair string bool)
+    (fun (bytes, as_sql) ->
+      parses_or_rejects (if as_sql then sql_line bytes else bytes))
+
+(* statements assembled from the SQL lexicon, mostly ill-formed *)
+let sql_soup =
+  let tokens =
+    [
+      "SELECT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "GROUP"; "ORDER"; "BY";
+      "ASC"; "DESC"; "SUM"; "COUNT"; "MIN"; "MAX"; "AVG"; "UPDATE"; "SET";
+      "INSERT"; "INTO"; "ROWS"; "DELETE"; "LIKE"; "IN"; "DATE"; "BETWEEN";
+      "CREATE"; "TABLE"; "r"; "s"; "t"; "r.a"; "r.b"; "s.x"; "t.z"; "a";
+      "lineitem"; "lineitem.l_quantity"; "("; ")"; ","; "."; "*"; ";"; "=";
+      "<>"; "!="; "<"; "<="; ">"; ">="; "+"; "-"; "/"; "!"; "0"; "7";
+      "-3"; "2.5"; "1e+06"; "9.5e-05"; "4611686018427387903";
+      "4611686018427387904"; "99999999999999999999999"; "'x'"; "'it''s'";
+      "'"; "1e"; "1.5e-"; "--"; "\n"; "\t"; "\"";
+    ]
+  in
+  QCheck.make ~print:Fun.id
+    QCheck.Gen.(
+      map (String.concat " ") (list_size (int_range 0 24) (oneofl tokens)))
+
+let prop_stream_total_on_soup =
+  QCheck.Test.make ~name:"stream: parse_line total on SQL token soup"
+    ~count:2000 sql_soup
+    (fun sql -> parses_or_rejects (sql_line sql))
+
 (* --- the guardrail -------------------------------------------------------- *)
 
 let workload_small () =
@@ -580,6 +649,10 @@ let suite =
     Alcotest.test_case "stream: round-trip" `Quick test_stream_roundtrip;
     Alcotest.test_case "stream: round-trip of exponent constants" `Quick
       test_stream_roundtrip_exponents;
+    Alcotest.test_case "stream: oversized literal is malformed" `Quick
+      test_stream_oversized_literal;
+    QCheck_alcotest.to_alcotest prop_stream_total_on_bytes;
+    QCheck_alcotest.to_alcotest prop_stream_total_on_soup;
     Alcotest.test_case "guardrail: verdicts" `Quick test_guardrail_verdicts;
     Alcotest.test_case "guardrail: drift predicate" `Quick test_drift_predicate;
     Alcotest.test_case "daemon: warm re-tunes spend fewer calls" `Slow

@@ -311,7 +311,23 @@ let test_determinism_updates () =
     tune_with_jobs ~jobs ~mode:T.Tuner.Indexes_and_views ~budget ~iters:50
       schema.catalog w
   in
-  check_identical ~label:"updates" (run 1) (run 4)
+  let r1 = run 1 in
+  check_identical ~label:"updates" r1 (run 4);
+  (* the §3.6 charge table is filled on the main domain only, so its
+     counters do not depend on the parallelism either *)
+  let shell_memo (_, (m : Relax_obs.Metrics.snapshot), _) =
+    List.sort compare
+      (List.filter
+         (fun (name, _) ->
+           String.starts_with ~prefix:"rank.shell_memo." name)
+         m.named_counters)
+  in
+  let m1 = shell_memo r1 in
+  Alcotest.(check bool) "updates: the charge table was filled" true
+    (Option.value ~default:0 (List.assoc_opt "rank.shell_memo.misses" m1) > 0);
+  Alcotest.(check (list (pair string int)))
+    "updates: shell memo counters, jobs=1 vs jobs=2" m1
+    (shell_memo (run 2))
 
 let suite =
   [
